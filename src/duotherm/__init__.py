@@ -4,37 +4,20 @@ The package builds interferometer and superposed-channel-order thermometer
 setups, computes the quantum Fisher information matrix of their output
 states, and turns it into saturable variance bounds over temperature grids.
 """
-from .channels import (BETA_CONVENTIONS, KrausChannel, ThermalBathSpec, apply_channel,
-                       bath_spec_at, choi_matrix, dilation_unitary, gadc_kraus,
-                       gibbs_probabilities, purified_bath_state, qudit_thermal_kraus)
 from .errors import (ChannelConstructionError, ConfigurationError, DarkPortError,
                      DimensionMismatchError, DuothermError, ValidationError)
-from .estimation import (BoundsResult, DerivativeConfig, QfimResult, crb_bounds,
-                         evaluate_bounds, qfim, qfim_eigensum, sld_operators,
-                         state_and_derivatives)
-from .interferometer import (BATH_MODES, ESTIMATION_TARGETS, MzConfig, mz_output_state,
-                             postselect_control)
-from .setups import SETUP_IDS, SetupEvaluator, effective_dimension, make_setup
-from .sweep import (CSV_HEADER, HEATMAP_FIELDS, RangeSummary, SweepRecord, SweepSpec,
-                    emit_csv, emit_pgm_heatmap, read_csv, records_to_grid,
-                    resolve_workers, run_sweep, summarize_ranges)
-from .switch import SwitchConfig, switch_output_state, thermal_switch_config
-from .validate import CHECKS, CheckResult, as_report, run_checks
+from .estimation import DerivativeConfig, evaluate_bounds
+from .setups import SETUP_IDS, make_setup
+from .sweep import (HEATMAP_FIELDS, SweepSpec, emit_csv, emit_pgm_heatmap, read_csv,
+                    run_sweep, summarize_ranges)
+from .validate import CHECKS, as_report, run_checks
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BATH_MODES", "BETA_CONVENTIONS", "BoundsResult", "CHECKS", "CSV_HEADER",
-    "ChannelConstructionError", "CheckResult", "ConfigurationError", "DarkPortError",
-    "DerivativeConfig", "DimensionMismatchError", "DuothermError",
-    "ESTIMATION_TARGETS", "HEATMAP_FIELDS", "KrausChannel", "MzConfig", "QfimResult",
-    "RangeSummary", "SETUP_IDS", "SetupEvaluator", "SweepRecord", "SweepSpec",
-    "SwitchConfig", "ThermalBathSpec", "ValidationError", "apply_channel",
-    "as_report", "bath_spec_at", "choi_matrix", "crb_bounds", "dilation_unitary",
-    "effective_dimension", "emit_csv", "emit_pgm_heatmap", "evaluate_bounds",
-    "gadc_kraus", "gibbs_probabilities", "make_setup", "mz_output_state",
-    "postselect_control", "purified_bath_state", "qfim", "qfim_eigensum",
-    "qudit_thermal_kraus", "read_csv", "records_to_grid", "resolve_workers",
-    "run_checks", "run_sweep", "sld_operators", "state_and_derivatives",
-    "summarize_ranges", "switch_output_state", "thermal_switch_config",
+    "CHECKS", "ChannelConstructionError", "ConfigurationError", "DarkPortError",
+    "DerivativeConfig", "DimensionMismatchError", "DuothermError", "HEATMAP_FIELDS",
+    "SETUP_IDS", "SweepSpec", "ValidationError", "as_report", "emit_csv",
+    "emit_pgm_heatmap", "evaluate_bounds", "make_setup", "read_csv", "run_checks",
+    "run_sweep", "summarize_ranges",
 ]

@@ -14,7 +14,6 @@ built from ``dilation_unitary``.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -29,7 +28,6 @@ from .errors import (
 )
 
 COMPLETENESS_TOL = 1e-10
-UNITARITY_TOL = 1e-12
 
 BETA_CONVENTIONS = ("natural", "log2")
 
@@ -221,7 +219,3 @@ def apply_choi(choi: np.ndarray, rho: np.ndarray, in_dim: int, out_dim: int) -> 
     j4 = choi.reshape(in_dim, out_dim, in_dim, out_dim)
     return np.einsum("minj,mn->ij", j4, rho)
 
-
-def bath_spec_at(temperature: float, template: ThermalBathSpec) -> ThermalBathSpec:
-    """Copy of ``template`` at a different temperature."""
-    return dataclasses.replace(template, temperature=temperature)

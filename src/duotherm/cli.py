@@ -20,6 +20,12 @@ from .validate import CHECKS, as_report, run_checks
 
 _SPEC_KEYS = ("setup_id", "t_min", "t_max", "grid_n", "phi", "eta", "beta_convention", "step")
 
+# Headline orderings of the comparison: more switched levels should shrink the
+# worst-case total variance, and the best single-temperature variance among
+# the probes built from one qubit.
+_SWITCH_CHAIN = ("swi4", "swi3", "swi2")
+_QUBIT_PROBES = ("mz1b_wc", "mz1b_2q", "mz2b_wc", "mz2b_2q", "swi2")
+
 
 def _add_sweep_flags(parser: argparse.ArgumentParser, with_setup: bool = True) -> None:
     if with_setup:
@@ -133,7 +139,28 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             else:
                 print(f"{s.setup_id:10s} {s.effective_dimension:4d} {s.min_var:10.4f} "
                       f"{s.max_var:10.4f} {s.min_total:10.4f} {s.max_total:10.4f}")
+        for line in _headlines(summaries):
+            print(line)
     return 0
+
+
+def _headlines(summaries) -> list[str]:
+    """Headline lines for the setups in the run that are not all-singular."""
+    finite = {s.setup_id: s for s in summaries if not s.empty}
+    lines = []
+    if all(setup_id in finite for setup_id in _SWITCH_CHAIN):
+        chain = [finite[setup_id] for setup_id in _SWITCH_CHAIN]
+        text = f"{chain[0].setup_id} {chain[0].max_total:.4f}"
+        for lower, upper in zip(chain, chain[1:]):
+            relation = "<=" if lower.max_total <= upper.max_total else ">"
+            text += f" {relation} {upper.setup_id} {upper.max_total:.4f}"
+        lines.append(f"switch worst-case totals: {text}")
+    probes = [finite[setup_id] for setup_id in _QUBIT_PROBES if setup_id in finite]
+    if probes:
+        best = min(probes, key=lambda s: s.min_var)
+        lines.append(f"best qubit-probe variance: {best.setup_id} reaches "
+                     f"min_var {best.min_var:.4f}")
+    return lines
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -198,8 +198,13 @@ def evaluate_bounds(
     cfg: DerivativeConfig = DEFAULT_DERIVATIVES,
     repetitions: int = 1,
 ) -> tuple[QfimResult, BoundsResult]:
-    """Convenience pipeline: derivatives -> SLDs -> QFIM -> bounds."""
+    """Convenience pipeline: derivatives -> SLDs -> QFIM -> bounds.
+
+    The state at (t1, t2) is validated as a density matrix once here; the
+    setups themselves do not validate, so the stencil states are unchecked.
+    """
     rho, d1, d2 = state_and_derivatives(setup, t1, t2, cfg)
+    tensor.validate_density_matrix(rho)
     l1, l2 = sld_operators(rho, d1, d2, cfg)
     info = qfim(rho, l1, l2, cfg)
     return info, crb_bounds(info, repetitions)

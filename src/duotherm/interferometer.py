@@ -10,6 +10,8 @@ estimation on probe plus control.
 
 States are assembled branch-wise: with |v_k> the probe+bath vector of arm k,
 the probe/control blocks are Tr_bath |v_k><v_l| dressed with the arm phase.
+No full-space operator is formed: each 4x4 coupling acts on the qubit tensor
+of an arm vector, and the bath trace contracts the (probe, bath) matrices.
 Tensor order is probe qubits, bath qubits, then control (when kept).
 """
 
@@ -100,8 +102,13 @@ def _coupling_pairs(cfg: MzConfig) -> tuple[list[tuple[int, int]], list[tuple[in
     return [(0, 2), (1, 5)], [(0, 4), (1, 3)]
 
 
-def _branch_vectors(cfg: MzConfig, t1: float, t2: float) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Probe+bath vectors of the two arms and the full factor shape."""
+def _arm_matrices(cfg: MzConfig, t1: float, t2: float) -> np.ndarray:
+    """Probe+bath vectors of the two arms as (probe, bath) matrices V_k,
+    stacked along a leading arm axis.
+
+    The coupling unitary acts on the qubit-indexed tensor of each arm vector,
+    and with the probe factors first Tr_bath |v_k><v_l| = V_k V_l^dag.
+    """
     for t in (t1, t2):
         if not t > 0:
             raise ConfigurationError(f"temperatures must be positive, got {t!r}")
@@ -110,31 +117,21 @@ def _branch_vectors(cfg: MzConfig, t1: float, t2: float) -> tuple[np.ndarray, np
     theta1 = channels.purified_bath_state(spec1)
     theta2 = channels.purified_bath_state(spec2)
     psi0 = cfg.initial_state()
-    u = channels.dilation_unitary(cfg.eta)
-    pairs1, pairs2 = _coupling_pairs(cfg)
+    u = channels.dilation_unitary(cfg.eta).reshape(2, 2, 2, 2)
     if cfg.bath_mode == "one_bath":
-        dims = (2,) * cfg.probe_qubits + (2, 2)
-        base1 = tensor.kron(psi0, theta1)
-        base2 = tensor.kron(psi0, theta2)
+        bases = (tensor.kron(psi0, theta1), tensor.kron(psi0, theta2))
+        qubits = cfg.probe_qubits + 2
     else:
-        dims = (2,) * cfg.probe_qubits + (2, 2, 2, 2)
-        base1 = tensor.kron_all(psi0, theta1, theta2)
-        base2 = base1
-    v1, v2 = base1, base2
-    for pair in pairs1:
-        v1 = tensor.embed_operator(u, dims, pair) @ v1
-    for pair in pairs2:
-        v2 = tensor.embed_operator(u, dims, pair) @ v2
-    return v1, v2, dims
-
-
-def _traced_blocks(cfg, v1, v2, dims):
-    """Bath-traced probe blocks Tr_B |v_k><v_l| for k, l in {1, 2}."""
-    keep = tuple(range(cfg.probe_qubits))
-    b11 = tensor.partial_trace(np.outer(v1, v1.conj()), dims, keep)
-    b22 = tensor.partial_trace(np.outer(v2, v2.conj()), dims, keep)
-    b12 = tensor.partial_trace(np.outer(v1, v2.conj()), dims, keep)
-    return b11, b22, b12
+        base = tensor.kron_all(psi0, theta1, theta2)
+        bases = (base, base)
+        qubits = cfg.probe_qubits + 4
+    arms = []
+    for base, pairs in zip(bases, _coupling_pairs(cfg)):
+        v = base.reshape((2,) * qubits)
+        for pair in pairs:
+            v = np.moveaxis(np.tensordot(u, v, axes=((2, 3), pair)), (0, 1), pair)
+        arms.append(v.reshape(cfg.probe_dim, -1))
+    return np.stack(arms)
 
 
 def mz_output_state(cfg: MzConfig, t1: float, t2: float) -> np.ndarray:
@@ -144,24 +141,20 @@ def mz_output_state(cfg: MzConfig, t1: float, t2: float) -> np.ndarray:
     measuring in (|c1> + |c2>)/sqrt(2) after the arm phase.
     ``probe_plus_control``: probe (x) control joint state, control last.
     """
-    v1, v2, dims = _branch_vectors(cfg, t1, t2)
-    b11, b22, b12 = _traced_blocks(cfg, v1, v2, dims)
-    phase = np.exp(1j * cfg.phi)
+    arms = _arm_matrices(cfg, t1, t2)
     d = cfg.probe_dim
-    joint = np.zeros((2 * d, 2 * d), dtype=complex)
-    jt = joint.reshape(d, 2, d, 2)
-    jt[:, 0, :, 0] = 0.5 * b11
-    jt[:, 1, :, 1] = 0.5 * b22
-    jt[:, 0, :, 1] = 0.5 * phase * b12
-    jt[:, 1, :, 0] = 0.5 * np.conj(phase) * b12.conj().T
+    # blocks[i, k, j, l] = (Tr_bath |v_k><v_l|)[i, j], i.e. probe then control
+    blocks = np.einsum("kib,ljb->ikjl", arms, arms.conj())
+    phase = np.exp(1j * cfg.phi)
+    dress = 0.5 * np.array([[1.0, phase], [np.conj(phase), 1.0]])
+    joint = (blocks * dress[:, None, :]).reshape(2 * d, 2 * d)
     joint = (joint + joint.conj().T) / 2.0
     if cfg.estimation_target == "probe_plus_control":
-        rho = joint / np.trace(joint).real
-        return tensor.validate_density_matrix(rho)
+        return joint / np.trace(joint).real
     state, prob = postselect_control(joint, (d, 2), 1, sign=+1, phi=0.0)
     if state is None:
         raise DarkPortError(f"post-selected + branch has probability {prob:.3e}")
-    return tensor.validate_density_matrix(state)
+    return state
 
 
 def postselect_control(

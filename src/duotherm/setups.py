@@ -62,18 +62,15 @@ def check_setup_id(setup_id: str) -> str:
     return setup_id
 
 
-def probe_dimension(setup_id: str) -> int:
-    check_setup_id(setup_id)
-    if setup_id in _SWITCH_DIM:
-        return _SWITCH_DIM[setup_id]
-    return 2 ** _MZ_LAYOUT[setup_id][1]
-
-
 def effective_dimension(setup_id: str) -> int:
     """Probe dimension times control dimension when the control is retained."""
     check_setup_id(setup_id)
+    if setup_id in _SWITCH_DIM:
+        probe = _SWITCH_DIM[setup_id]
+    else:
+        probe = 2 ** _MZ_LAYOUT[setup_id][1]
     control = 2 if setup_id in _CONTROL_RETAINED else 1
-    return probe_dimension(setup_id) * control
+    return probe * control
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,9 @@ of per-factor dimensions whose product must equal the matrix dimension.
 
 Eigendecomposition is delegated to ``numpy.linalg.eigh`` behind the
 ``herm_eig`` surface; everything else is reshape/einsum bookkeeping.
+``embed_operator``, ``partial_trace`` and ``partial_transpose`` work on dense
+full-space operators; no state builder uses them, they are the references
+that the dilation check and the tests compare against.
 """
 
 from __future__ import annotations
@@ -17,24 +20,16 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 
-# Alias only; shapes are ordinary tuples such as (2, 2, 2).
-SubsystemShape = tuple[int, ...]
-
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 STATE_NORM_TOL = 1e-12
-RECONSTRUCTION_TOL = 1e-9
 
 _LETTERS = string.ascii_lowercase + string.ascii_uppercase
 
 
 def as_complex(m) -> np.ndarray:
     return np.asarray(m, dtype=complex)
-
-
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:
@@ -187,11 +182,6 @@ def validate_density_matrix(
     if smallest < eig_floor:
         raise ValidationError(f"density matrix has negative eigenvalue {smallest:.3e}")
     return rho
-
-
-def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -273,11 +273,3 @@ def test_apply_choi_reproduces_apply_channel():
     np.testing.assert_allclose(
         channels.apply_choi(j, rho, 2, 2), channels.apply_channel(ch, rho), atol=1e-12
     )
-
-
-def test_bath_spec_at_changes_only_temperature():
-    base = ThermalBathSpec(temperature=0.5, energies=(0.0, 1.0, 2.0), eta=0.4)
-    other = channels.bath_spec_at(0.9, base)
-    assert other.temperature == 0.9
-    assert other.energies == base.energies
-    assert other.eta == base.eta

@@ -76,6 +76,21 @@ def test_compare_table_marks_singular_setups(capsys):
     assert "swi2" in stdout and "mz1b" in stdout
 
 
+def test_compare_prints_the_headline_orderings(capsys):
+    code = main(["compare", "--setups", "mz1b,swi2,swi3,swi4,mz2b_2q", "--grid", "3",
+                 "--workers", "1"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "switch worst-case totals: swi4 7.3416 <= swi3 8.5609 <= swi2 17.9449" in lines
+    assert "best qubit-probe variance: mz2b_2q reaches min_var 0.7634" in lines
+    # without all three switches there is no chain, and an all-singular
+    # qubit probe is never the best
+    main(["compare", "--setups", "mz1b,swi3", "--grid", "2", "--workers", "1"])
+    stdout = capsys.readouterr().out
+    assert "switch worst-case totals" not in stdout
+    assert "best qubit-probe variance" not in stdout
+
+
 def test_compare_json_and_file_output(tmp_path, capsys):
     out = tmp_path / "summary.json"
     code = main(["compare", "--setups", "swi2,mz2b_wc", "--grid", "2",

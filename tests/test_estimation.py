@@ -6,7 +6,7 @@ import pytest
 
 from duotherm import tensor
 from duotherm.channels import ThermalBathSpec, gibbs_probabilities
-from duotherm.errors import ConfigurationError
+from duotherm.errors import ConfigurationError, ValidationError
 from duotherm.estimation import (
     BoundsResult,
     DerivativeConfig,
@@ -233,6 +233,27 @@ def test_information_matrix_properties_on_library_setups():
         info, bounds = evaluate_bounds(make_setup(setup_id), 0.3, 0.7)
         assert info.singular
         assert bounds.var_t1 == math.inf
+
+
+@pytest.mark.parametrize("setup_id", ["mz2b_2q", "swi3"])
+def test_evaluate_bounds_validates_the_state_once(setup_id, monkeypatch):
+    calls = []
+    validate = tensor.validate_density_matrix
+
+    def counting(rho, *args, **kwargs):
+        calls.append(rho)
+        return validate(rho, *args, **kwargs)
+
+    monkeypatch.setattr(tensor, "validate_density_matrix", counting)
+    evaluate_bounds(make_setup(setup_id), 0.3, 0.7)
+    assert len(calls) == 1
+
+
+def test_evaluate_bounds_rejects_a_non_positive_state():
+    # Hermitian with unit trace, but one eigenvalue is negative
+    bad = np.diag([1.2, -0.2]).astype(complex)
+    with pytest.raises(ValidationError, match="negative eigenvalue"):
+        evaluate_bounds(lambda t1, t2: bad, 0.3, 0.7)
 
 
 def test_information_is_stable_under_step_refinement():

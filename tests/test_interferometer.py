@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from duotherm import channels, tensor
 from duotherm.channels import ThermalBathSpec
 from duotherm.errors import ConfigurationError, DarkPortError
-from duotherm.interferometer import MzConfig, mz_output_state, postselect_control
+from duotherm.interferometer import (MzConfig, _coupling_pairs, mz_output_state,
+                                     postselect_control)
 
 RNG = np.random.default_rng(20240819)
 
@@ -111,6 +112,65 @@ def test_two_bath_with_control_matches_full_tensor_oracle():
     np.testing.assert_allclose(rho, oracle, atol=1e-12)
 
 
+LAYOUTS = [
+    ("one_bath", 1, "postselected_plus"),
+    ("one_bath", 1, "probe_plus_control"),
+    ("one_bath", 2, "postselected_plus"),
+    ("two_bath", 1, "postselected_plus"),
+    ("two_bath", 1, "probe_plus_control"),
+    ("two_bath", 2, "postselected_plus"),
+]
+
+
+def _dense_reference(cfg: MzConfig, t1: float, t2: float) -> np.ndarray:
+    """The output state built with full-space operators: every coupling as a
+    dense unitary on the whole arm space, every bath trace taken of a dense
+    outer product."""
+    thetas = [channels.purified_bath_state(
+        ThermalBathSpec(t, cfg.energies, cfg.eta, cfg.beta_convention)) for t in (t1, t2)]
+    psi0 = cfg.initial_state()
+    if cfg.bath_mode == "one_bath":
+        bases = [tensor.kron(psi0, thetas[0]), tensor.kron(psi0, thetas[1])]
+    else:
+        bases = [tensor.kron_all(psi0, *thetas)] * 2
+    dims = (2,) * (bases[0].size.bit_length() - 1)
+    u = channels.dilation_unitary(cfg.eta)
+    arms = []
+    for v, pairs in zip(bases, _coupling_pairs(cfg)):
+        for pair in pairs:
+            v = tensor.embed_operator(u, dims, pair) @ v
+        arms.append(v)
+    keep = range(cfg.probe_qubits)
+    b = [[tensor.partial_trace(np.outer(vk, vl.conj()), dims, keep) for vl in arms]
+         for vk in arms]
+    d = cfg.probe_dim
+    phase = np.exp(1j * cfg.phi)
+    joint = np.zeros((d, 2, d, 2), dtype=complex)
+    joint[:, 0, :, 0] = 0.5 * b[0][0]
+    joint[:, 1, :, 1] = 0.5 * b[1][1]
+    joint[:, 0, :, 1] = 0.5 * phase * b[0][1]
+    joint[:, 1, :, 0] = 0.5 * np.conj(phase) * b[1][0]
+    if cfg.estimation_target == "probe_plus_control":
+        return joint.reshape(2 * d, 2 * d)
+    plus = 0.5 * joint.sum(axis=(1, 3))  # <+|joint|+> on the control
+    return plus / np.trace(plus).real
+
+
+@pytest.mark.parametrize("bath_mode,qubits,target", LAYOUTS)
+def test_contraction_matches_the_dense_operator_reference(bath_mode, qubits, target):
+    rng = np.random.default_rng([20240819, LAYOUTS.index((bath_mode, qubits, target))])
+    for _ in range(10):
+        t1, t2 = rng.uniform(0.05, 2.0, size=2)
+        # stay 0.1 clear of the dark port at phi = pi, where normalizing the
+        # vanishing plus branch amplifies rounding in either construction
+        phi = float(rng.uniform(-math.pi + 0.1, math.pi - 0.1))
+        eta = float(rng.uniform(0.0, 1.0))
+        cfg = MzConfig(bath_mode=bath_mode, probe_qubits=qubits,
+                       estimation_target=target, phi=phi, eta=eta)
+        np.testing.assert_allclose(mz_output_state(cfg, t1, t2),
+                                   _dense_reference(cfg, t1, t2), rtol=0, atol=1e-13)
+
+
 def test_postselect_uncorrelated_plus_control():
     probe = tensor.random_density_matrix(RNG, 2)
     plus = np.full((2, 2), 0.5, dtype=complex)
@@ -198,14 +258,7 @@ def test_with_control_phase_enters_only_through_the_control_frame():
         np.testing.assert_allclose(rb, d @ ra @ d.conj().T, atol=1e-13)
 
 
-@pytest.mark.parametrize("bath_mode,qubits,target", [
-    ("one_bath", 1, "postselected_plus"),
-    ("one_bath", 1, "probe_plus_control"),
-    ("one_bath", 2, "postselected_plus"),
-    ("two_bath", 1, "postselected_plus"),
-    ("two_bath", 1, "probe_plus_control"),
-    ("two_bath", 2, "postselected_plus"),
-])
+@pytest.mark.parametrize("bath_mode,qubits,target", LAYOUTS)
 def test_outputs_are_valid_density_matrices(bath_mode, qubits, target):
     grid = np.linspace(0.1, 1.0, 3)
     for phi in (0.0, math.pi / 4, math.pi / 2, math.pi):

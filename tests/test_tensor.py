@@ -183,7 +183,8 @@ def test_validate_density_matrix_rejects_defects():
 
 
 def test_validate_pure_state_norm_gate():
-    v = tensor.random_pure_state(RNG, 4)
+    v = RNG.normal(size=4) + 1j * RNG.normal(size=4)
+    v = v / np.linalg.norm(v)
     tensor.validate_pure_state(v)
     with pytest.raises(ValidationError):
         tensor.validate_pure_state(v * 1.001)
