@@ -10,6 +10,10 @@ The two-level channel is the generalized amplitude damping channel (GADC);
 the n-level generalization exchanges population between every level pair
 (i, j) with strength gamma_ij.  Both admit a two-qubit purified-bath dilation
 built from ``dilation_unitary``.
+
+A spec's temperature may be an array: it then describes a stack of baths
+that share energies and coupling, and populations, purified baths and Kraus
+sets gain the temperature array's shape as leading axes.
 """
 
 from __future__ import annotations
@@ -34,17 +38,23 @@ BETA_CONVENTIONS = ("natural", "log2")
 
 @dataclass(frozen=True)
 class ThermalBathSpec:
-    """Bath parameters; energies default to a unit-gap two-level ladder."""
+    """Bath parameters; energies default to a unit-gap two-level ladder.
 
-    temperature: float
+    ``temperature`` is one temperature or an array of them (a stack of baths);
+    every temperature of a stack must be positive.
+    """
+
+    temperature: float | np.ndarray
     energies: tuple[float, ...] = (0.0, 1.0)
     eta: float = 1.0
     beta_convention: str = "natural"
 
     def __post_init__(self):
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
-        if not self.temperature > 0:
-            raise ConfigurationError(f"temperature must be positive, got {self.temperature!r}")
+        temperatures = np.asarray(self.temperature, dtype=float)
+        if not (temperatures > 0).all():
+            bad = temperatures[~(temperatures > 0)][0]
+            raise ConfigurationError(f"temperature must be positive, got {float(bad)!r}")
         if len(self.energies) < 2:
             raise ConfigurationError("at least two energy levels are required")
         if not 0.0 <= self.eta <= 1.0:
@@ -61,17 +71,19 @@ class ThermalBathSpec:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A CPTP map as a stack of Kraus operators, shape (n_ops, out_dim, in_dim).
+    """A CPTP map as a stack of Kraus operators, shape (n_ops, out_dim, in_dim),
+    or a stack of such maps with leading axes, shape (..., n_ops, out_dim, in_dim).
 
     Completeness sum_k K_k^dag K_k = 1 is enforced at construction within
-    ``COMPLETENESS_TOL``; violations raise with the defect norm.
+    ``COMPLETENESS_TOL`` for every map of a stack; violations raise with the
+    largest defect.
     """
 
     ops: np.ndarray
 
     def __post_init__(self):
         ops = np.asarray(self.ops, dtype=complex)
-        if ops.ndim != 3 or ops.shape[0] < 1:
+        if ops.ndim < 3 or ops.shape[-3] < 1:
             raise DimensionMismatchError(
                 f"expected a stack of matrices with shape (n, out, in), got {ops.shape}"
             )
@@ -84,24 +96,26 @@ class KrausChannel:
 
     @property
     def in_dim(self) -> int:
-        return self.ops.shape[2]
+        return self.ops.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.ops.shape[1]
+        return self.ops.shape[-2]
 
     def completeness_defect(self) -> float:
-        s = np.einsum("aji,ajk->ik", np.conj(self.ops), self.ops)
+        s = np.einsum("...aji,...ajk->...ik", np.conj(self.ops), self.ops)
         return float(np.max(np.abs(s - np.eye(self.in_dim))))
 
 
 def gibbs_probabilities(spec: ThermalBathSpec) -> np.ndarray:
-    """Normalized thermal populations over the bath's energy ladder."""
+    """Normalized thermal populations over the bath's energy ladder, along
+    the last axis."""
     energies = np.asarray(spec.energies, dtype=float)
     ln_base = 1.0 if spec.beta_convention == "natural" else math.log(2.0)
-    exponent = -(energies - energies.min()) * ln_base / spec.temperature
+    temperatures = np.asarray(spec.temperature, dtype=float)[..., None]
+    exponent = -(energies - energies.min()) * ln_base / temperatures
     w = np.exp(exponent)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def gadc_kraus(spec: ThermalBathSpec) -> KrausChannel:
@@ -110,14 +124,17 @@ def gadc_kraus(spec: ThermalBathSpec) -> KrausChannel:
         raise ConfigurationError(
             f"the two-level channel needs exactly 2 energies, got {spec.levels}"
         )
-    p = float(gibbs_probabilities(spec)[0])
+    p = gibbs_probabilities(spec)[..., 0]
     eta = spec.eta
     k = math.sqrt(1.0 - eta)
-    r1 = math.sqrt(p) * np.array([[1.0, 0.0], [0.0, k]])
-    r2 = math.sqrt(1.0 - p) * np.array([[k, 0.0], [0.0, 1.0]])
-    r3 = math.sqrt(p * eta) * np.array([[0.0, 1.0], [0.0, 0.0]])
-    r4 = math.sqrt((1.0 - p) * eta) * np.array([[0.0, 0.0], [1.0, 0.0]])
-    return KrausChannel(np.stack([r1, r2, r3, r4]).astype(complex))
+    amplitudes = np.sqrt(np.stack([p, 1.0 - p, p * eta, (1.0 - p) * eta], axis=-1))
+    shapes = np.array([
+        [[1.0, 0.0], [0.0, k]],
+        [[k, 0.0], [0.0, 1.0]],
+        [[0.0, 1.0], [0.0, 0.0]],
+        [[0.0, 0.0], [1.0, 0.0]],
+    ])
+    return KrausChannel((amplitudes[..., None, None] * shapes).astype(complex))
 
 
 def qudit_thermal_kraus(spec: ThermalBathSpec, gamma: np.ndarray | None = None) -> KrausChannel:
@@ -141,23 +158,27 @@ def qudit_thermal_kraus(spec: ThermalBathSpec, gamma: np.ndarray | None = None) 
         raise ValidationError(f"gamma must be symmetric; asymmetry {asym:.3e}")
     if gamma.min() < 0 or gamma.max() > 1:
         raise ValidationError("gamma entries must lie in [0, 1]")
-    p = gibbs_probabilities(spec)
-    ops = []
+    # Each operator is sqrt(p_i) times a temperature-free shape; ``level``
+    # holds the i of every operator.
+    shapes, level = [], []
     for i in range(n):
-        d = np.zeros((n, n), dtype=complex)
+        d = np.zeros((n, n))
         d[i, i] = 1.0
         for j in range(n):
             if j != i:
                 d[j, j] = math.sqrt(1.0 - gamma[j, i])
-        ops.append(math.sqrt(p[i]) * d)
+        shapes.append(d)
+        level.append(i)
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = math.sqrt(p[i]) * math.sqrt(gamma[i, j])
-            ops.append(m)
-    return KrausChannel(np.stack(ops))
+            m = np.zeros((n, n))
+            m[i, j] = math.sqrt(gamma[i, j])
+            shapes.append(m)
+            level.append(i)
+    amplitudes = np.sqrt(gibbs_probabilities(spec))[..., level]
+    return KrausChannel((amplitudes[..., None, None] * np.stack(shapes)).astype(complex))
 
 
 def purified_bath_state(spec: ThermalBathSpec) -> np.ndarray:
@@ -165,9 +186,9 @@ def purified_bath_state(spec: ThermalBathSpec) -> np.ndarray:
     if spec.levels != 2:
         raise ConfigurationError("purified bath states are defined for two-level baths")
     p = gibbs_probabilities(spec)
-    v = np.zeros(4, dtype=complex)
-    v[0] = math.sqrt(p[0])
-    v[3] = math.sqrt(p[1])
+    v = np.zeros(p.shape[:-1] + (4,), dtype=complex)
+    v[..., 0] = np.sqrt(p[..., 0])
+    v[..., 3] = np.sqrt(p[..., 1])
     return v
 
 

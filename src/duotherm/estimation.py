@@ -1,16 +1,27 @@
 """Two-parameter quantum estimation: SLDs, QFIM and Cramer-Rao bounds.
 
-A setup is any callable (t1, t2) -> density matrix.  Derivatives are central
-finite differences with a temperature-scaled step h = step * max(1, T).
-The symmetric logarithmic derivative L solves dRho = (L Rho + Rho L) / 2 and
-is assembled in the eigenbasis of Rho as L_ab = 2 dRho_ab / (s_a + s_b)
-wherever s_a + s_b exceeds the support cutoff, zero elsewhere (this covers
-the support/kernel cross blocks as well).  QFIM entries use the
-anticommutator form Q_nm = Re Tr(Rho L_n L_m); the residual |Tr(Rho [L1, L2])|
-reports whether both bounds are simultaneously attainable.
+A setup is a stacked builder, an object whose ``states(t1s, t2s)`` maps N
+temperature pairs to N density matrices, shape (N, d, d), in one call; any
+plain callable (t1, t2) -> density matrix is also accepted, and its states
+are stacked one by one.  The pipeline works on stacks: ``evaluate_bounds``
+takes one temperature pair or equal-shape arrays of N pairs, and a single
+pair is the N = 1 case.
+
+Derivatives are central finite differences with a temperature-scaled step
+h = step * max(1, T); the states at the N points and at their four stencil
+neighbours come from one build of 5N states.  The symmetric logarithmic
+derivative L solves dRho = (L Rho + Rho L) / 2 and is assembled in the
+eigenbasis of Rho as L_ab = 2 dRho_ab / (s_a + s_b) wherever s_a + s_b
+exceeds the support cutoff, zero elsewhere (this covers the support/kernel
+cross blocks as well), with one eigendecomposition for the whole stack (Liu,
+Yuan, Lu & Wang, J. Phys. A 53, 023001 (2020)).  QFIM entries use the
+anticommutator form Q_nm = Re Tr(Rho {L_n, L_m}) / 2; the residual
+|Tr(Rho [L1, L2])| reports whether both bounds are simultaneously attainable.
 
 Singular information matrices are flagged relative to the scale
 max(1, ||Q||_max^2) and yield +inf variance sentinels, never clamped values.
+The results of a single point hold Python scalars, those of a stack hold
+arrays with the stack's shape.
 """
 
 from __future__ import annotations
@@ -45,35 +56,63 @@ DEFAULT_DERIVATIVES = DerivativeConfig()
 @dataclass(frozen=True, eq=False)
 class QfimResult:
     qfim: np.ndarray
-    determinant: float
+    determinant: float | np.ndarray
     sld_1: np.ndarray
     sld_2: np.ndarray
-    attainability_residual: float
-    singular: bool
+    attainability_residual: float | np.ndarray
+    singular: bool | np.ndarray
 
 
 @dataclass(frozen=True)
 class BoundsResult:
-    var_t1: float
-    var_t2: float
-    cov: float
-    total_var: float
+    var_t1: float | np.ndarray
+    var_t2: float | np.ndarray
+    cov: float | np.ndarray
+    total_var: float | np.ndarray
     repetitions: int
+
+
+def _stacked_builder(setup) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The setup's ``states`` builder, or a plain callable stacked point by point."""
+    states = getattr(setup, "states", None)
+    if states is not None:
+        return states
+    return lambda t1s, t2s: np.stack(
+        [tensor.as_complex(setup(a, b)) for a, b in zip(t1s.tolist(), t2s.tolist())]
+    )
+
+
+def _scalars(*values):
+    """Python scalars in place of 0-d arrays, so that the results of a single
+    point print and serialize like plain numbers."""
+    return tuple(v.item() if np.ndim(v) == 0 else v for v in values)
 
 
 def state_and_derivatives(
     setup: Setup,
-    t1: float,
-    t2: float,
+    t1,
+    t2,
     cfg: DerivativeConfig = DEFAULT_DERIVATIVES,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """State and its two temperature derivatives at (t1, t2)."""
-    h1 = cfg.step * max(1.0, abs(t1))
-    h2 = cfg.step * max(1.0, abs(t2))
-    rho = tensor.as_complex(setup(t1, t2))
-    d1 = (tensor.as_complex(setup(t1 + h1, t2)) - tensor.as_complex(setup(t1 - h1, t2))) / (2.0 * h1)
-    d2 = (tensor.as_complex(setup(t1, t2 + h2)) - tensor.as_complex(setup(t1, t2 - h2))) / (2.0 * h2)
-    return rho, d1, d2
+    """State and its two temperature derivatives at (t1, t2).
+
+    ``t1`` and ``t2`` are temperatures or equal-shape arrays of N of them;
+    each result has their shape followed by (d, d).  The N states and their
+    4N stencil neighbours come from one stacked build.
+    """
+    t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
+    shape = t1.shape
+    t1, t2 = t1.reshape(-1), t2.reshape(-1)
+    h1 = cfg.step * np.maximum(1.0, np.abs(t1))
+    h2 = cfg.step * np.maximum(1.0, np.abs(t2))
+    states = tensor.as_complex(_stacked_builder(setup)(
+        np.concatenate([t1, t1 + h1, t1 - h1, t1, t1]),
+        np.concatenate([t2, t2, t2, t2 + h2, t2 - h2]),
+    ))
+    rho, up1, down1, up2, down2 = states.reshape((5, t1.size) + states.shape[-2:])
+    d1 = (up1 - down1) / (2.0 * h1)[:, None, None]
+    d2 = (up2 - down2) / (2.0 * h2)[:, None, None]
+    return tuple(x.reshape(shape + x.shape[-2:]) for x in (rho, d1, d2))
 
 
 def sld_operators(
@@ -82,17 +121,19 @@ def sld_operators(
     d_rho_2: np.ndarray,
     cfg: DerivativeConfig = DEFAULT_DERIVATIVES,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric logarithmic derivatives for both parameters."""
+    """Symmetric logarithmic derivatives for both parameters, for one state
+    or a stack of shape (..., d, d)."""
     vals, vecs = tensor.herm_eig(rho)
-    denom = vals[:, None] + vals[None, :]
+    vecs_h = tensor.dagger(vecs)
+    denom = vals[..., :, None] + vals[..., None, :]
     mask = denom > cfg.support_tol
     safe = np.where(mask, denom, 1.0)
     out = []
     for d_rho in (d_rho_1, d_rho_2):
-        g = vecs.conj().T @ tensor.as_complex(d_rho) @ vecs
+        g = vecs_h @ tensor.as_complex(d_rho) @ vecs
         l_eig = np.where(mask, 2.0 * g / safe, 0.0)
-        l = vecs @ l_eig @ vecs.conj().T
-        out.append((l + l.conj().T) / 2.0)
+        l = vecs @ l_eig @ vecs_h
+        out.append((l + tensor.dagger(l)) / 2.0)
     return out[0], out[1]
 
 
@@ -102,19 +143,25 @@ def qfim(
     sld_2: np.ndarray,
     cfg: DerivativeConfig = DEFAULT_DERIVATIVES,
 ) -> QfimResult:
-    """Quantum Fisher information matrix from the SLD pair."""
+    """Quantum Fisher information matrix from the SLD pair, for one state or
+    a stack of shape (..., d, d)."""
     rho = tensor.as_complex(rho)
     l1 = tensor.as_complex(sld_1)
     l2 = tensor.as_complex(sld_2)
-    q11 = float(np.trace(rho @ l1 @ l1).real)
-    q22 = float(np.trace(rho @ l2 @ l2).real)
-    # real part of Tr(rho L1 L2) is already the symmetrized (anticommutator) form
-    q12 = float(np.trace(rho @ l1 @ l2).real)
-    residual = float(abs(np.trace(rho @ (l1 @ l2 - l2 @ l1))))
-    q = np.array([[q11, q12], [q12, q22]], dtype=float)
-    det = float(q11 * q22 - q12 * q12)
-    scale = max(1.0, float(np.max(np.abs(q))) ** 2)
-    singular = abs(det) < cfg.singular_tol * scale
+    slds = np.stack([l1, l2], axis=-3)
+    # t[a, b] = Tr(rho L_a L_b): Q12 is the anticommutator form
+    # Re(t[0, 1] + t[1, 0]) / 2, and t[0, 1] - t[1, 0] = Tr(rho [L1, L2]).
+    # Summing both orders keeps Q12 the same, bit for bit, when the roles of
+    # the two parameters are exchanged.
+    t = np.einsum("...aij,...bji->...ab", rho[..., None, :, :] @ slds, slds)
+    q11, q22 = t[..., 0, 0].real, t[..., 1, 1].real
+    q12 = (t[..., 0, 1].real + t[..., 1, 0].real) / 2.0
+    residual = np.abs(t[..., 0, 1] - t[..., 1, 0])
+    q = np.stack([np.stack([q11, q12], axis=-1), np.stack([q12, q22], axis=-1)], axis=-2)
+    det = q11 * q22 - q12 * q12
+    scale = np.maximum(1.0, np.abs(q).max(axis=(-2, -1)) ** 2)
+    singular = np.abs(det) < cfg.singular_tol * scale
+    det, residual, singular = _scalars(det, residual, singular)
     return QfimResult(
         qfim=q,
         determinant=det,
@@ -180,28 +227,29 @@ def crb_bounds(result: QfimResult, repetitions: int = 1) -> BoundsResult:
     """
     if repetitions < 1:
         raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
-    if result.singular:
-        inf = math.inf
-        return BoundsResult(inf, inf, inf, inf, repetitions)
     q = result.qfim
-    n_det = repetitions * result.determinant
-    var1 = float(q[1, 1] / n_det)
-    var2 = float(q[0, 0] / n_det)
-    cov = float(-q[0, 1] / n_det)
-    return BoundsResult(var1, var2, cov, var1 + var2, repetitions)
+    n_det = repetitions * np.asarray(result.determinant)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var1 = np.where(result.singular, math.inf, q[..., 1, 1] / n_det)
+        var2 = np.where(result.singular, math.inf, q[..., 0, 0] / n_det)
+        cov = np.where(result.singular, math.inf, -q[..., 0, 1] / n_det)
+    return BoundsResult(*_scalars(var1, var2, cov, var1 + var2), repetitions)
 
 
 def evaluate_bounds(
     setup: Setup,
-    t1: float,
-    t2: float,
+    t1,
+    t2,
     cfg: DerivativeConfig = DEFAULT_DERIVATIVES,
     repetitions: int = 1,
 ) -> tuple[QfimResult, BoundsResult]:
-    """Convenience pipeline: derivatives -> SLDs -> QFIM -> bounds.
+    """Pipeline derivatives -> SLDs -> QFIM -> bounds at one temperature pair,
+    or at equal-shape arrays of N pairs with one stacked state build, one
+    eigendecomposition and one QFIM evaluation for the whole stack.
 
-    The state at (t1, t2) is validated as a density matrix once here; the
-    setups themselves do not validate, so the stencil states are unchecked.
+    The states at the points themselves are validated as density matrices
+    once here; the setups do not validate, so the stencil states are
+    unchecked.
     """
     rho, d1, d2 = state_and_derivatives(setup, t1, t2, cfg)
     tensor.validate_density_matrix(rho)

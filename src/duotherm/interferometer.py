@@ -12,7 +12,8 @@ States are assembled branch-wise: with |v_k> the probe+bath vector of arm k,
 the probe/control blocks are Tr_bath |v_k><v_l| dressed with the arm phase.
 No full-space operator is formed: each 4x4 coupling acts on the qubit tensor
 of an arm vector, and the bath trace contracts the (probe, bath) matrices.
-Tensor order is probe qubits, bath qubits, then control (when kept).
+Tensor order is probe qubits, bath qubits, then control (when kept).  States
+are built for a whole stack of temperature pairs at once.
 """
 
 from __future__ import annotations
@@ -102,59 +103,76 @@ def _coupling_pairs(cfg: MzConfig) -> tuple[list[tuple[int, int]], list[tuple[in
     return [(0, 2), (1, 5)], [(0, 4), (1, 3)]
 
 
-def _arm_matrices(cfg: MzConfig, t1: float, t2: float) -> np.ndarray:
-    """Probe+bath vectors of the two arms as (probe, bath) matrices V_k,
-    stacked along a leading arm axis.
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of the last axes, broadcast over the leading ones."""
+    out = a[..., :, None] * b[..., None, :]
+    return out.reshape(out.shape[:-2] + (-1,))
+
+
+def _arm_matrices(cfg: MzConfig, t1s: np.ndarray, t2s: np.ndarray) -> np.ndarray:
+    """Probe+bath vectors of the two arms as (probe, bath) matrices V_k, for
+    N temperature pairs: shape (N, arm, probe, bath).
 
     The coupling unitary acts on the qubit-indexed tensor of each arm vector,
     and with the probe factors first Tr_bath |v_k><v_l| = V_k V_l^dag.
     """
-    for t in (t1, t2):
-        if not t > 0:
-            raise ConfigurationError(f"temperatures must be positive, got {t!r}")
-    spec1 = ThermalBathSpec(t1, cfg.energies, cfg.eta, cfg.beta_convention)
-    spec2 = ThermalBathSpec(t2, cfg.energies, cfg.eta, cfg.beta_convention)
+    spec1 = ThermalBathSpec(t1s, cfg.energies, cfg.eta, cfg.beta_convention)
+    spec2 = ThermalBathSpec(t2s, cfg.energies, cfg.eta, cfg.beta_convention)
     theta1 = channels.purified_bath_state(spec1)
     theta2 = channels.purified_bath_state(spec2)
     psi0 = cfg.initial_state()
-    u = channels.dilation_unitary(cfg.eta).reshape(2, 2, 2, 2)
+    u_t = channels.dilation_unitary(cfg.eta).T
     if cfg.bath_mode == "one_bath":
-        bases = (tensor.kron(psi0, theta1), tensor.kron(psi0, theta2))
+        bases = (_kron(psi0, theta1), _kron(psi0, theta2))
         qubits = cfg.probe_qubits + 2
     else:
-        base = tensor.kron_all(psi0, theta1, theta2)
+        base = _kron(_kron(psi0, theta1), theta2)
         bases = (base, base)
         qubits = cfg.probe_qubits + 4
+    n = len(t1s)
     arms = []
     for base, pairs in zip(bases, _coupling_pairs(cfg)):
-        v = base.reshape((2,) * qubits)
+        v = base.reshape((n,) + (2,) * qubits)
         for pair in pairs:
-            v = np.moveaxis(np.tensordot(u, v, axes=((2, 3), pair)), (0, 1), pair)
-        arms.append(v.reshape(cfg.probe_dim, -1))
-    return np.stack(arms)
+            # Bring the pair's axes last and apply the coupling as one matrix
+            # product per point, so each point's arithmetic is the same for
+            # any N.
+            axes = (1 + pair[0], 1 + pair[1])
+            w = np.moveaxis(v, axes, (-2, -1))
+            w = (w.reshape(n, -1, 4) @ u_t).reshape(w.shape)
+            v = np.moveaxis(w, (-2, -1), axes)
+        arms.append(v.reshape(n, cfg.probe_dim, -1))
+    return np.stack(arms, axis=1)
 
 
-def mz_output_state(cfg: MzConfig, t1: float, t2: float) -> np.ndarray:
-    """Estimation-ready output state at bath temperatures (t1, t2).
+def mz_output_state(cfg: MzConfig, t1, t2) -> np.ndarray:
+    """Estimation-ready output states at bath temperatures (t1, t2).
+
+    ``t1`` and ``t2`` are temperatures or equal-shape arrays of them; the
+    result has their shape followed by (d, d), and a single pair is the N = 1
+    case of the stacked build.  Every temperature must be positive, and no
+    state of the stack may sit at a dark port.
 
     ``postselected_plus``: normalized probe state conditioned on the control
     measuring in (|c1> + |c2>)/sqrt(2) after the arm phase.
     ``probe_plus_control``: probe (x) control joint state, control last.
     """
-    arms = _arm_matrices(cfg, t1, t2)
+    t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
+    arms = _arm_matrices(cfg, t1.reshape(-1), t2.reshape(-1))
     d = cfg.probe_dim
-    # blocks[i, k, j, l] = (Tr_bath |v_k><v_l|)[i, j], i.e. probe then control
-    blocks = np.einsum("kib,ljb->ikjl", arms, arms.conj())
+    # blocks[n, i, k, j, l] = (Tr_bath |v_k><v_l|)[i, j], i.e. probe then control
+    blocks = np.einsum("nkib,nljb->nikjl", arms, arms.conj())
     phase = np.exp(1j * cfg.phi)
     dress = 0.5 * np.array([[1.0, phase], [np.conj(phase), 1.0]])
-    joint = (blocks * dress[:, None, :]).reshape(2 * d, 2 * d)
-    joint = (joint + joint.conj().T) / 2.0
+    joint = (blocks * dress[:, None, :]).reshape(-1, 2 * d, 2 * d)
+    joint = (joint + tensor.dagger(joint)) / 2.0
     if cfg.estimation_target == "probe_plus_control":
-        return joint / np.trace(joint).real
-    state, prob = postselect_control(joint, (d, 2), 1, sign=+1, phi=0.0)
-    if state is None:
-        raise DarkPortError(f"post-selected + branch has probability {prob:.3e}")
-    return state
+        state = joint / np.trace(joint, axis1=-2, axis2=-1).real[:, None, None]
+    else:
+        state, prob = postselect_control(joint, (d, 2), 1, sign=+1, phi=0.0)
+        if state is None:
+            raise DarkPortError(f"post-selected + branch has probability {np.min(prob):.3e}")
+    return state.reshape(t1.shape + state.shape[1:])
 
 
 def postselect_control(
@@ -170,7 +188,9 @@ def postselect_control(
     phase here is equivalent to building the joint state with it.  Returns the
     normalized conditional state on the remaining factors together with the
     outcome probability; the state is None when the branch is dark
-    (probability below ``DARK_PORT_TOL``).
+    (probability below ``DARK_PORT_TOL``).  A stack of joint states, shape
+    (..., dim, dim), gives a stack of states and probabilities, and the state
+    is None when any of them is dark.
     """
     joint = tensor.as_complex(joint)
     dims = tuple(int(d) for d in dims)
@@ -182,21 +202,21 @@ def postselect_control(
     if sign not in (+1, -1):
         raise ConfigurationError("sign must be +1 or -1")
     total = int(np.prod(dims))
-    if joint.shape != (total, total):
+    if joint.ndim < 2 or joint.shape[-2:] != (total, total):
         raise DimensionMismatchError(f"joint shape {joint.shape} does not match dims {dims}")
     # Projecting the phased state onto |+/-> equals projecting the raw state
     # onto the back-rotated vector u = (e^{-i phi}, +/-1)/sqrt(2).
     u = np.array([np.exp(-1j * phi), float(sign)], dtype=complex) / math.sqrt(2.0)
-    t = joint.reshape(dims + dims)
-    reduced = np.tensordot(
-        np.tensordot(t, u.conj(), axes=([control_index], [0])),
-        u,
-        axes=([n - 1 + control_index], [0]),
-    )
+    batch = joint.shape[:-2]
+    row = len(batch) + control_index
+    t = np.moveaxis(joint.reshape(batch + dims + dims), (row, row + n), (-2, -1))
+    # An einsum, not a BLAS product: on a stack, the BLAS call would be
+    # large enough to start OpenBLAS's helper threads.
+    reduced = np.einsum("...ab,ab->...", t, np.outer(u.conj(), u))
     rest_dim = total // 2
-    reduced = reduced.reshape(rest_dim, rest_dim)
-    prob = float(np.trace(reduced).real)
-    if prob < DARK_PORT_TOL:
-        return None, max(prob, 0.0)
-    state = (reduced + reduced.conj().T) / (2.0 * prob)
+    reduced = reduced.reshape(batch + (rest_dim, rest_dim))
+    prob = np.trace(reduced, axis1=-2, axis2=-1).real
+    if (prob < DARK_PORT_TOL).any():
+        return None, np.maximum(prob, 0.0)
+    state = (reduced + tensor.dagger(reduced)) / (2.0 * prob[..., None, None])
     return state, prob

@@ -1,6 +1,9 @@
 """Registry of sweepable estimation setups.
 
-Each id maps (t1, t2) to an estimation-ready density matrix:
+Each id names a stacked builder ``states(t1s, t2s)`` that maps N temperature
+pairs to N estimation-ready density matrices, shape (N, d, d), in one call;
+calling the evaluator with a single pair (t1, t2) is the N = 1 case and
+returns one (d, d) matrix.  The setups are:
 
 - ``mz1b`` / ``mz2b``: single-qubit probe, post-selected + port.  These
   families carry only one effective degree of freedom, so their QFIM is
@@ -75,7 +78,7 @@ def effective_dimension(setup_id: str) -> int:
 
 @dataclass(frozen=True)
 class SetupEvaluator:
-    """Callable (t1, t2) -> density matrix for a registered setup."""
+    """Stacked state builder of a registered setup."""
 
     setup_id: str
     phi: float = math.pi / 2
@@ -86,11 +89,19 @@ class SetupEvaluator:
         check_setup_id(self.setup_id)
 
     def __call__(self, t1: float, t2: float) -> np.ndarray:
+        """The density matrix at one temperature pair."""
+        return self.states(t1, t2)
+
+    def states(self, t1s, t2s) -> np.ndarray:
+        """Density matrices at the pairs (t1s[k], t2s[k]), built in one stack.
+
+        The result has the temperature arrays' shape followed by (d, d).
+        """
         if self.setup_id in _SWITCH_DIM:
             return switch_output_state(
                 _SWITCH_DIM[self.setup_id],
-                t1,
-                t2,
+                t1s,
+                t2s,
                 eta=self.eta,
                 beta_convention=self.beta_convention,
             )
@@ -103,7 +114,7 @@ class SetupEvaluator:
             eta=self.eta,
             beta_convention=self.beta_convention,
         )
-        return mz_output_state(cfg, t1, t2)
+        return mz_output_state(cfg, t1s, t2s)
 
 
 def make_setup(

@@ -1,7 +1,10 @@
 """Temperature-grid sweeps with CSV and PGM emitters.
 
 A sweep evaluates one estimation setup on a square (t1, t2) grid and collects
-per-point bounds into flat records.  Records are ordered t1-major (row-major),
+per-point bounds into flat records.  Each grid row is one stacked evaluation,
+so a row's states, with their stencil neighbours, are built in one call and
+memory stays bounded by 5 * grid_n states.  Records are ordered t1-major
+(row-major), equal bit for bit to single-point ``evaluate_bounds`` results,
 and the evaluation is deterministic for a fixed spec regardless of how many
 worker processes are used, so emitted CSV files are byte-identical across
 runs and worker counts.
@@ -15,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, DuothermError, ValidationError
 from .channels import BETA_CONVENTIONS
 from .estimation import DerivativeConfig, evaluate_bounds
 from .setups import SETUP_IDS, check_setup_id, effective_dimension, make_setup
@@ -90,21 +93,6 @@ class RangeSummary:
     empty: bool = False
 
 
-def _evaluate_point(setup, t1: float, t2: float, cfg: DerivativeConfig) -> SweepRecord:
-    info, bounds = evaluate_bounds(setup, t1, t2, cfg)
-    return SweepRecord(
-        t1=t1,
-        t2=t2,
-        var_t1=bounds.var_t1,
-        var_t2=bounds.var_t2,
-        cov=bounds.cov,
-        total_var=bounds.total_var,
-        det_qfim=info.determinant,
-        attain_residual=info.attainability_residual,
-        singular=info.singular,
-    )
-
-
 def _sweep_row(task: tuple[SweepSpec, int]) -> list[SweepRecord]:
     spec, row = task
     grid = spec.grid()
@@ -112,16 +100,25 @@ def _sweep_row(task: tuple[SweepSpec, int]) -> list[SweepRecord]:
                        beta_convention=spec.beta_convention)
     cfg = DerivativeConfig(step=spec.step)
     t1 = float(grid[row])
-    out = []
-    for t2 in grid:
-        try:
-            out.append(_evaluate_point(setup, t1, float(t2), cfg))
-        except Exception as exc:
-            raise RuntimeError(
-                f"sweep of {spec.setup_id!r} failed at grid point "
-                f"(t1={t1!r}, t2={float(t2)!r}): {exc}"
-            ) from exc
-    return out
+    try:
+        info, bounds = evaluate_bounds(setup, np.full_like(grid, t1), grid, cfg)
+    except Exception as row_exc:
+        # The row failed as one stack; name its first failing point.
+        for t2 in grid.tolist():
+            try:
+                evaluate_bounds(setup, t1, t2, cfg)
+            except Exception as exc:
+                raise DuothermError(
+                    f"sweep of {spec.setup_id!r} failed at grid point "
+                    f"(t1={t1!r}, t2={t2!r}): {exc}"
+                ) from exc
+        raise DuothermError(
+            f"sweep of {spec.setup_id!r} failed on the row t1={t1!r}: {row_exc}"
+        ) from row_exc
+    columns = (bounds.var_t1, bounds.var_t2, bounds.cov, bounds.total_var,
+               info.determinant, info.attainability_residual, info.singular)
+    return [SweepRecord(t1, *values)
+            for values in zip(grid.tolist(), *(c.tolist() for c in columns))]
 
 
 def resolve_workers(requested: int | None) -> int:

@@ -91,27 +91,44 @@ class ProcessMatrix:
 
 
 def switch_kraus_output(cfg: SwitchConfig, rho_in: np.ndarray) -> np.ndarray:
-    """Apply the controlled-order map to rho_in (x) |control><control|."""
+    """Apply the controlled-order map to rho_in (x) |control><control|.
+
+    Stacked channels, Kraus sets of shape (..., n, d, d), give a stack of
+    outputs of shape (..., 2d, 2d).
+    """
     d = cfg.target_dim
     rho_in = tensor.as_complex(rho_in)
     if rho_in.shape != (d, d):
         raise DimensionMismatchError(f"input shape {rho_in.shape} does not match dim {d}")
     f = cfg.channel_a.ops
     k = cfg.channel_b.ops
-    m1 = np.einsum("aij,bjk->abik", f, k).reshape(-1, d, d)  # F_i K_j
-    m2 = np.einsum("bij,ajk->abik", k, f).reshape(-1, d, d)  # K_j F_i, aligned pairing
-    s11 = np.einsum("aij,jk,alk->il", m1, rho_in, np.conj(m1))
-    s22 = np.einsum("aij,jk,alk->il", m2, rho_in, np.conj(m2))
-    s12 = np.einsum("aij,jk,alk->il", m1, rho_in, np.conj(m2))
+
+    def superoperator(ops):
+        # S[(i, j), (k, l)] = sum_a K_a[i, k] conj(K_a[j, l]), so that the
+        # channel maps the row-major vec(X) to S vec(X)
+        s = np.einsum("...aik,...ajl->...ijkl", ops, ops.conj())
+        return s.reshape(s.shape[:-4] + (d * d, d * d))
+
+    s_a, s_b = superoperator(f), superoperator(k)
+    batch = np.broadcast_shapes(s_a.shape[:-2], s_b.shape[:-2])
+    vec = rho_in.reshape(d * d, 1)
+    # Summed over the aligned pairs H_ij, the diagonal blocks are the two
+    # sequential compositions, s11 = A(B(rho_in)) and s22 = B(A(rho_in)),
+    # and the coherence block is s12 = sum_i F_i B(rho_in F_i^dag).
+    s11 = (s_a @ (s_b @ vec)).reshape(batch + (d, d))
+    s22 = (s_b @ (s_a @ vec)).reshape(batch + (d, d))
+    x = (rho_in @ tensor.dagger(f)).reshape(f.shape[:-2] + (d * d,))
+    b_x = (x @ np.swapaxes(s_b, -1, -2)).reshape(batch + (-1, d))
+    s12 = np.swapaxes(f, -3, -2).reshape(f.shape[:-3] + (d, -1)) @ b_x
     c = cfg.control_vector()
     rho_c = np.outer(c, c.conj())
-    blocks = np.empty((2, 2, d, d), dtype=complex)
-    blocks[0, 0] = rho_c[0, 0] * s11
-    blocks[1, 1] = rho_c[1, 1] * s22
-    blocks[0, 1] = rho_c[0, 1] * s12
-    blocks[1, 0] = rho_c[1, 0] * s12.conj().T
-    out = np.einsum("uvil->iulv", blocks).reshape(2 * d, 2 * d)
-    return (out + out.conj().T) / 2.0
+    blocks = np.empty(batch + (2, 2, d, d), dtype=complex)
+    blocks[..., 0, 0, :, :] = rho_c[0, 0] * s11
+    blocks[..., 1, 1, :, :] = rho_c[1, 1] * s22
+    blocks[..., 0, 1, :, :] = rho_c[0, 1] * s12
+    blocks[..., 1, 0, :, :] = rho_c[1, 0] * tensor.dagger(s12)
+    out = np.einsum("...uvil->...iulv", blocks).reshape(batch + (2 * d, 2 * d))
+    return (out + tensor.dagger(out)) / 2.0
 
 
 def switch_process_matrix(target_dim: int) -> ProcessMatrix:
@@ -178,8 +195,8 @@ def switch_process_output(cfg: SwitchConfig, rho_in: np.ndarray) -> np.ndarray:
 
 def thermal_switch_config(
     target_dim: int,
-    t1: float,
-    t2: float,
+    t1,
+    t2,
     eta: float = 1.0,
     beta_convention: str = "natural",
     energies: tuple[float, ...] | None = None,
@@ -190,7 +207,9 @@ def thermal_switch_config(
     Channel A (outermost for control |0>) carries t1.  Dimension 2 uses the
     GADC; higher dimensions use the pairwise-exchange channel with uniform
     strength eta (default full thermalization).  Default energies are the
-    linear ladder 0, 1, ..., target_dim - 1.
+    linear ladder 0, 1, ..., target_dim - 1.  ``t1`` and ``t2`` may be
+    equal-shape arrays; the channels are then stacks with that shape as
+    leading axes.
     """
     if target_dim == 2 and energies is None:
         energies = (0.0, 1.0)
@@ -215,8 +234,8 @@ def thermal_switch_config(
 
 def switch_output_state(
     target_dim: int,
-    t1: float,
-    t2: float,
+    t1,
+    t2,
     eta: float = 1.0,
     beta_convention: str = "natural",
     energies: tuple[float, ...] | None = None,
@@ -224,13 +243,18 @@ def switch_output_state(
 ) -> np.ndarray:
     """Switch output for thermal channels on the ground-state target.
 
-    Defaults realize full-strength thermalization (eta = 1) with the control
-    in |+>; the estimation-ready state lives on target (x) control.
+    ``t1`` and ``t2`` are temperatures or equal-shape arrays of them; the
+    result has their shape followed by (2d, 2d), and a single pair is the
+    N = 1 case of the stacked build.  Defaults realize full-strength
+    thermalization (eta = 1) with the control in |+>; the estimation-ready
+    state lives on target (x) control.
     """
+    t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
     cfg = thermal_switch_config(
-        target_dim, t1, t2, eta=eta, beta_convention=beta_convention,
-        energies=energies, control_state=control_state,
+        target_dim, t1.reshape(-1), t2.reshape(-1), eta=eta,
+        beta_convention=beta_convention, energies=energies, control_state=control_state,
     )
     rho_in = np.zeros((target_dim, target_dim), dtype=complex)
     rho_in[0, 0] = 1.0
-    return switch_kraus_output(cfg, rho_in)
+    out = switch_kraus_output(cfg, rho_in)
+    return out.reshape(t1.shape + out.shape[1:])

@@ -6,6 +6,8 @@ of per-factor dimensions whose product must equal the matrix dimension.
 
 Eigendecomposition is delegated to ``numpy.linalg.eigh`` behind the
 ``herm_eig`` surface; everything else is reshape/einsum bookkeeping.
+``dagger``, ``herm_eig`` and ``validate_density_matrix`` also take stacks
+of shape ``(..., d, d)`` and act on every matrix of the stack.
 ``embed_operator``, ``partial_trace`` and ``partial_transpose`` work on dense
 full-space operators; no state builder uses them, they are the references
 that the dilation check and the tests compare against.
@@ -41,19 +43,13 @@ def basis_state(dim: int, index: int) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(np.asarray(m).T)
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.conj(np.swapaxes(np.asarray(m), -1, -2))
 
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product with the left operand as the slower index."""
     return np.kron(as_complex(a), as_complex(b))
-
-
-def kron_all(*factors) -> np.ndarray:
-    out = as_complex(factors[0])
-    for f in factors[1:]:
-        out = np.kron(out, as_complex(f))
-    return out
 
 
 def _check_square_shape(m: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
@@ -113,14 +109,15 @@ def hermiticity_defect(m) -> float:
 
 
 def herm_eig(m, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or of each matrix of a stack.
 
     Returns ``(vals, vecs)`` with eigenvalues ascending and eigenvectors in
     columns, so ``vecs @ diag(vals) @ vecs.conj().T`` reconstructs the input.
-    Rejects inputs whose Hermiticity defect exceeds ``tol``.
+    Rejects inputs whose Hermiticity defect (largest over the stack) exceeds
+    ``tol``.
     """
     m = as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     defect = hermiticity_defect(m)
     if defect > tol:
@@ -168,16 +165,20 @@ def validate_density_matrix(
     trace_tol: float = TRACE_TOL,
     eig_floor: float = EIGENVALUE_FLOOR,
 ) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; returns the input array."""
+    """Check Hermiticity, unit trace and positivity of a state or of every
+    state of a stack; returns the input array.  A stack is reported by its
+    worst Hermiticity defect, its first trace off 1 and its smallest
+    eigenvalue."""
     rho = as_complex(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValidationError(f"density matrix must be square, got shape {rho.shape}")
     defect = hermiticity_defect(rho)
     if defect > herm_tol:
         raise ValidationError(f"density matrix not Hermitian: defect {defect:.3e}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValidationError(f"density matrix trace {tr!r} is not 1")
+    traces = np.trace(rho, axis1=-2, axis2=-1).reshape(-1)
+    off = np.abs(traces - 1.0) > trace_tol
+    if off.any():
+        raise ValidationError(f"density matrix trace {complex(traces[off][0])!r} is not 1")
     smallest = float(np.min(np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)))
     if smallest < eig_floor:
         raise ValidationError(f"density matrix has negative eigenvalue {smallest:.3e}")

@@ -22,7 +22,8 @@ from .estimation import (DerivativeConfig, evaluate_bounds, qfim, qfim_eigensum,
 from .interferometer import MzConfig, mz_output_state
 from .setups import make_setup
 from .sweep import SweepSpec, emit_csv, emit_pgm_heatmap, read_csv, run_sweep
-from .switch import switch_channel_choi, switch_kraus_output, switch_process_output, thermal_switch_config
+from .switch import (switch_channel_choi, switch_kraus_output, switch_output_state,
+                     switch_process_output, thermal_switch_config)
 
 
 @dataclass(frozen=True)
@@ -107,18 +108,19 @@ def check_channel_dilation(rng: np.random.Generator, defective: bool = False) ->
 
 
 def check_mz_state_validity(rng: np.random.Generator, defective: bool = False) -> str:
-    t1, t2 = _random_temps(rng)
+    t1s = np.array(_random_temps(rng, 4))
+    t2s = np.array(_random_temps(rng, 4))
     phi = float(rng.uniform(0.0, math.pi))
     combos = [("one_bath", 1, "postselected_plus"), ("one_bath", 2, "postselected_plus"),
               ("two_bath", 1, "probe_plus_control"), ("two_bath", 2, "postselected_plus")]
     for bath_mode, qubits, target in combos:
         cfg = MzConfig(bath_mode=bath_mode, probe_qubits=qubits,
                        estimation_target=target, phi=phi)
-        rho = mz_output_state(cfg, t1, t2)
+        states = mz_output_state(cfg, t1s, t2s)
         if defective:
-            rho = rho * 1.01
-        tensor.validate_density_matrix(rho)
-    return f"4 layouts at phi={phi:.3f}"
+            states = states * 1.01
+        tensor.validate_density_matrix(states)  # every slice of the stack
+    return f"4 layouts at phi={phi:.3f}, a stack of {t1s.size} temperature pairs each"
 
 
 def check_mz_swap_symmetry(rng: np.random.Generator, defective: bool = False) -> str:
@@ -150,16 +152,30 @@ def check_mz_phase_independence(rng: np.random.Generator, defective: bool = Fals
 
 
 def check_switch_route_equivalence(rng: np.random.Generator, defective: bool = False) -> str:
+    """The Kraus route on a random input, and the production stacked thermal
+    builder on its ground-state input with the control in |+>, against the
+    process-matrix route."""
     t1, t2 = _random_temps(rng)
     dim = int(rng.integers(2, 4))
-    cfg = thermal_switch_config(dim, t1, t2 if not defective else t2 * 1.1)
+    shift = 1.1 if defective else 1.0
+    cfg = thermal_switch_config(dim, t1, t2 * shift)
     rho = tensor.random_density_matrix(rng, dim)
     via_kraus = switch_kraus_output(cfg, rho)
     cfg_clean = thermal_switch_config(dim, t1, t2)
     via_process = switch_process_output(cfg_clean, rho)
     err = float(np.max(np.abs(via_kraus - via_process)))
+    t1s = np.array(_random_temps(rng, 3))
+    t2s = np.array(_random_temps(rng, 3))
+    built = switch_output_state(dim, t1s, t2s * shift)
+    ground = np.zeros((dim, dim), dtype=complex)
+    ground[0, 0] = 1.0
+    stacked = max(
+        float(np.max(np.abs(state - switch_process_output(thermal_switch_config(dim, a, b), ground))))
+        for state, a, b in zip(built, t1s, t2s)
+    )
     assert err < 1e-10, f"kraus vs process routes differ by {err:.2e}"
-    return f"d={dim}, route difference {err:.2e}"
+    assert stacked < 1e-10, f"stacked builder vs process route differ by {stacked:.2e}"
+    return f"d={dim}, route difference {err:.2e}, stacked builder {stacked:.2e}"
 
 
 def check_switch_choi_cptp(rng: np.random.Generator, defective: bool = False) -> str:

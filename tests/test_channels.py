@@ -112,6 +112,21 @@ def test_kraus_channel_rejects_incomplete_sets():
         KrausChannel(good.ops * 1.01)
 
 
+@pytest.mark.parametrize("levels", [2, 4])
+def test_stacked_kraus_sets_match_single_builds_and_are_all_checked(levels):
+    temps = (0.2, 0.5, 0.9)
+    energies = tuple(float(x) for x in range(levels))
+    build = channels.gadc_kraus if levels == 2 else channels.qudit_thermal_kraus
+    stacked = build(ThermalBathSpec(np.array(temps), energies, eta=0.6))
+    assert stacked.ops.shape[0] == 3
+    for ops, t in zip(stacked.ops, temps):
+        assert ops.tobytes() == build(ThermalBathSpec(t, energies, eta=0.6)).ops.tobytes()
+    bad = stacked.ops.copy()
+    bad[1] *= 1.01
+    with pytest.raises(ChannelConstructionError):
+        KrausChannel(bad)
+
+
 def test_qudit_two_level_case_matches_gadc():
     t, eta = 0.6, 0.7
     gamma = np.array([[0.0, eta], [eta, 0.0]])

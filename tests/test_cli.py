@@ -144,6 +144,19 @@ def test_nonpositive_temperature_is_a_configuration_error(capsys):
     assert main(["bounds", "--setup", "swi2", "--t1", "0.5", "--t2", "0.0"]) == 2
 
 
+def test_failing_grid_point_is_an_error_line_not_a_traceback(tmp_path, capsys):
+    # at phi = pi the identical arms of the shared bath cancel in the plus
+    # port on the diagonal, so the first grid point is dark
+    for argv in (["sweep", "--setup", "mz1b", "--out", str(tmp_path / "x.csv")],
+                 ["compare", "--setups", "mz1b"]):
+        code = main(argv + ["--grid", "3", "--phi", str(math.pi), "--workers", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "(t1=0.1, t2=0.1)" in err
+        assert "Traceback" not in err
+
+
 def test_missing_config_file_is_an_io_error(tmp_path, capsys):
     code = main(["sweep", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "x.csv")])

@@ -132,7 +132,7 @@ def _dense_reference(cfg: MzConfig, t1: float, t2: float) -> np.ndarray:
     if cfg.bath_mode == "one_bath":
         bases = [tensor.kron(psi0, thetas[0]), tensor.kron(psi0, thetas[1])]
     else:
-        bases = [tensor.kron_all(psi0, *thetas)] * 2
+        bases = [tensor.kron(tensor.kron(psi0, thetas[0]), thetas[1])] * 2
     dims = (2,) * (bases[0].size.bit_length() - 1)
     u = channels.dilation_unitary(cfg.eta)
     arms = []
@@ -160,15 +160,18 @@ def _dense_reference(cfg: MzConfig, t1: float, t2: float) -> np.ndarray:
 def test_contraction_matches_the_dense_operator_reference(bath_mode, qubits, target):
     rng = np.random.default_rng([20240819, LAYOUTS.index((bath_mode, qubits, target))])
     for _ in range(10):
-        t1, t2 = rng.uniform(0.05, 2.0, size=2)
+        t1s, t2s = rng.uniform(0.05, 2.0, size=(2, 4))
         # stay 0.1 clear of the dark port at phi = pi, where normalizing the
         # vanishing plus branch amplifies rounding in either construction
         phi = float(rng.uniform(-math.pi + 0.1, math.pi - 0.1))
         eta = float(rng.uniform(0.0, 1.0))
         cfg = MzConfig(bath_mode=bath_mode, probe_qubits=qubits,
                        estimation_target=target, phi=phi, eta=eta)
-        np.testing.assert_allclose(mz_output_state(cfg, t1, t2),
-                                   _dense_reference(cfg, t1, t2), rtol=0, atol=1e-13)
+        states = mz_output_state(cfg, t1s, t2s)
+        assert states.shape == (4,) + _dense_reference(cfg, t1s[0], t2s[0]).shape
+        for state, t1, t2 in zip(states, t1s, t2s):
+            np.testing.assert_allclose(state, _dense_reference(cfg, t1, t2),
+                                       rtol=0, atol=1e-13)
 
 
 def test_postselect_uncorrelated_plus_control():

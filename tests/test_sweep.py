@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duotherm.errors import ConfigurationError, ValidationError
+from duotherm import sweep
+from duotherm.errors import ConfigurationError, DuothermError, ValidationError
+from duotherm.estimation import DerivativeConfig, evaluate_bounds
+from duotherm.setups import SETUP_IDS, make_setup
 from duotherm.sweep import (
     CSV_HEADER,
     SweepRecord,
@@ -227,3 +230,34 @@ def test_swapping_temperature_axes_swaps_the_variance_fields(setup_id):
     np.testing.assert_allclose(var1[finite], var2.T[finite], rtol=1e-6, atol=1e-8)
     det = records_to_grid(records, "det_qfim")
     np.testing.assert_allclose(det, det.T, rtol=1e-6, atol=1e-10)
+
+
+@given(setup_id=st.sampled_from(SETUP_IDS), phi=st.floats(min_value=0.1, max_value=3.0),
+       eta=st.floats(min_value=0.05, max_value=1.0), grid_n=st.integers(2, 4))
+@settings(max_examples=30, deadline=None)
+def test_sweep_records_equal_single_point_evaluations(setup_id, phi, eta, grid_n):
+    # each row is one stacked evaluation; every record must be the one a
+    # single-point evaluate_bounds gives, bit for bit
+    spec = SweepSpec(setup_id, grid_n=grid_n, phi=phi, eta=eta)
+    setup = make_setup(setup_id, phi=phi, eta=eta)
+    cfg = DerivativeConfig(step=spec.step)
+    for record in run_sweep(spec):
+        info, b = evaluate_bounds(setup, record.t1, record.t2, cfg)
+        point = SweepRecord(record.t1, record.t2, b.var_t1, b.var_t2, b.cov, b.total_var,
+                            info.determinant, info.attainability_residual, info.singular)
+        assert repr(record) == repr(point)
+
+
+def test_failed_sweep_names_the_first_failing_point_in_t1_major_order(monkeypatch):
+    evaluate = sweep.evaluate_bounds
+
+    def failing(setup, t1, t2, cfg):
+        if np.any((np.asarray(t1) > 0.5) & (np.asarray(t2) > 0.5)):
+            raise ValidationError("synthetic failure")
+        return evaluate(setup, t1, t2, cfg)
+
+    monkeypatch.setattr(sweep, "evaluate_bounds", failing)
+    # grid 0.1, 0.55, 1.0: row 1 fails from its middle point on, row 2 too
+    with pytest.raises(DuothermError, match=r"\(t1=0\.55, t2=0\.55\): synthetic failure") as info:
+        run_sweep(SweepSpec(setup_id="swi2", grid_n=3), workers=1)
+    assert isinstance(info.value.__cause__, ValidationError)

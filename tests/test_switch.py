@@ -127,7 +127,7 @@ def test_compose_process_matches_dense_contraction():
     j2 = channels.choi_matrix(random_kraus_channel(RNG, dim, 3))
     dims = proc.dims
     w_dense = tensor.partial_transpose(proc.matrix, dims, (2, 3, 4, 5))
-    slotted = tensor.kron_all(np.eye(4), np.kron(j1, j2), np.eye(4))
+    slotted = tensor.kron(tensor.kron(np.eye(4), np.kron(j1, j2)), np.eye(4))
     dense = tensor.partial_trace(w_dense @ slotted, dims, keep=(0, 1, 6, 7))
     np.testing.assert_allclose(compose_process(proc, [j1, j2]), dense, atol=1e-10)
 

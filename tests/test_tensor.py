@@ -152,7 +152,7 @@ def test_embed_operator_matches_explicit_kron():
     u = random_matrix(2)
     # acting on the middle factor of a (2, 2, 2) chain
     embedded = tensor.embed_operator(u, (2, 2, 2), (1,))
-    explicit = tensor.kron_all(np.eye(2), u, np.eye(2))
+    explicit = tensor.kron(tensor.kron(np.eye(2), u), np.eye(2))
     np.testing.assert_allclose(embedded, explicit, atol=1e-13)
 
 
@@ -180,6 +180,19 @@ def test_validate_density_matrix_rejects_defects():
     sig = np.diag([1.5, -0.5, 0.0]).astype(complex)
     with pytest.raises(ValidationError):
         tensor.validate_density_matrix(sig)
+
+
+def test_stacks_are_decomposed_and_validated_matrix_by_matrix():
+    stack = np.stack([tensor.random_density_matrix(RNG, 3) for _ in range(4)])
+    tensor.validate_density_matrix(stack)
+    vals, vecs = tensor.herm_eig(stack)
+    for m, v, u in zip(stack, vals, vecs):
+        ref_v, ref_u = tensor.herm_eig(m)
+        assert v.tobytes() == ref_v.tobytes() and u.tobytes() == ref_u.tobytes()
+    bad = stack.copy()
+    bad[2] = np.diag([1.5, -0.5, 0.0])
+    with pytest.raises(ValidationError, match="negative eigenvalue"):
+        tensor.validate_density_matrix(bad)
 
 
 def test_validate_pure_state_norm_gate():
