@@ -124,17 +124,21 @@ def gadc_kraus(spec: ThermalBathSpec) -> KrausChannel:
         raise ConfigurationError(
             f"the two-level channel needs exactly 2 energies, got {spec.levels}"
         )
-    p = gibbs_probabilities(spec)[..., 0]
-    eta = spec.eta
+    return KrausChannel(_kraus_operators(gibbs_probabilities(spec), *gadc_shapes(spec.eta)))
+
+
+def gadc_shapes(eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Temperature-free Kraus shapes of the two-level channel and the level
+    whose population scales each (see ``_kraus_operators``)."""
     k = math.sqrt(1.0 - eta)
-    amplitudes = np.sqrt(np.stack([p, 1.0 - p, p * eta, (1.0 - p) * eta], axis=-1))
+    s = math.sqrt(eta)
     shapes = np.array([
         [[1.0, 0.0], [0.0, k]],
         [[k, 0.0], [0.0, 1.0]],
-        [[0.0, 1.0], [0.0, 0.0]],
-        [[0.0, 0.0], [1.0, 0.0]],
+        [[0.0, s], [0.0, 0.0]],
+        [[0.0, 0.0], [s, 0.0]],
     ])
-    return KrausChannel((amplitudes[..., None, None] * shapes).astype(complex))
+    return shapes, np.array([0, 1, 0, 1])
 
 
 def qudit_thermal_kraus(spec: ThermalBathSpec, gamma: np.ndarray | None = None) -> KrausChannel:
@@ -158,37 +162,45 @@ def qudit_thermal_kraus(spec: ThermalBathSpec, gamma: np.ndarray | None = None) 
         raise ValidationError(f"gamma must be symmetric; asymmetry {asym:.3e}")
     if gamma.min() < 0 or gamma.max() > 1:
         raise ValidationError("gamma entries must lie in [0, 1]")
-    # Each operator is sqrt(p_i) times a temperature-free shape; ``level``
-    # holds the i of every operator.
-    shapes, level = [], []
-    for i in range(n):
-        d = np.zeros((n, n))
-        d[i, i] = 1.0
-        for j in range(n):
-            if j != i:
-                d[j, j] = math.sqrt(1.0 - gamma[j, i])
-        shapes.append(d)
-        level.append(i)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            m = np.zeros((n, n))
-            m[i, j] = math.sqrt(gamma[i, j])
-            shapes.append(m)
-            level.append(i)
-    amplitudes = np.sqrt(gibbs_probabilities(spec))[..., level]
-    return KrausChannel((amplitudes[..., None, None] * np.stack(shapes)).astype(complex))
+    return KrausChannel(_kraus_operators(gibbs_probabilities(spec), *exchange_shapes(gamma)))
+
+
+def exchange_shapes(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Temperature-free Kraus shapes of the pairwise-exchange channel with
+    strengths ``gamma`` (checked by ``qudit_thermal_kraus``) and the level
+    whose population scales each, in that channel's operator order: the
+    diagonal K_i, with sqrt(1 - gamma_ji) at (j, j), then K_ij = sqrt(gamma_ij)
+    |i><j| for i != j in row-major order."""
+    n = gamma.shape[0]
+    diagonal = np.eye(n) * np.sqrt(1.0 - gamma.T)[:, None, :]
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    exchange = np.zeros((len(i), n, n))
+    exchange[np.arange(len(i)), i, j] = np.sqrt(gamma[i, j])
+    return np.concatenate([diagonal, exchange]), np.concatenate([np.arange(n), i])
+
+
+def _kraus_operators(populations: np.ndarray, shapes: np.ndarray,
+                     level: np.ndarray) -> np.ndarray:
+    """Kraus operators sqrt(p_level[a]) * shapes[a] of a thermalizing channel
+    at the populations p (last axis), stacked over the populations' leading
+    axes.  The operators are linear in the amplitudes sqrt(p), so a channel's
+    superoperator is linear in p."""
+    amplitudes = np.sqrt(populations)[..., level]
+    return (amplitudes[..., None, None] * shapes).astype(complex)
 
 
 def purified_bath_state(spec: ThermalBathSpec) -> np.ndarray:
     """Two-qubit purification sqrt(p0)|00> + sqrt(p1)|11> of a two-level bath."""
     if spec.levels != 2:
         raise ConfigurationError("purified bath states are defined for two-level baths")
-    p = gibbs_probabilities(spec)
-    v = np.zeros(p.shape[:-1] + (4,), dtype=complex)
-    v[..., 0] = np.sqrt(p[..., 0])
-    v[..., 3] = np.sqrt(p[..., 1])
+    return purification(np.sqrt(gibbs_probabilities(spec)))
+
+
+def purification(amplitudes: np.ndarray) -> np.ndarray:
+    """The vector a0|00> + a1|11> for amplitude pairs (a0, a1) on the last axis."""
+    v = np.zeros(amplitudes.shape[:-1] + (4,), dtype=complex)
+    v[..., 0] = amplitudes[..., 0]
+    v[..., 3] = amplitudes[..., 1]
     return v
 
 

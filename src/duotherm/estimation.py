@@ -9,7 +9,8 @@ pair is the N = 1 case.
 
 Derivatives are central finite differences with a temperature-scaled step
 h = step * max(1, T); the states at the N points and at their four stencil
-neighbours come from one build of 5N states.  The symmetric logarithmic
+neighbours come from one build of 5N states, which for the registered setups
+is one feature contraction of their compiled coefficient tensor.  The symmetric logarithmic
 derivative L solves dRho = (L Rho + Rho L) / 2 and is assembled in the
 eigenbasis of Rho as L_ab = 2 dRho_ab / (s_a + s_b) wherever s_a + s_b
 exceeds the support cutoff, zero elsewhere (this covers the support/kernel

@@ -14,6 +14,14 @@ No full-space operator is formed: each 4x4 coupling acts on the qubit tensor
 of an arm vector, and the bath trace contracts the (probe, bath) matrices.
 Tensor order is probe qubits, bath qubits, then control (when kept).  States
 are built for a whole stack of temperature pairs at once.
+
+The arm builder takes bath amplitude vectors, and each arm is linear in the
+amplitudes of the baths it touches.  ``mz_coefficients`` is the compiler: it
+runs the arm builder on unit amplitude vectors at the layout's phase and
+coupling strength and returns the temperature-free coefficients of the
+output, so that a setup's states are one feature contraction.
+``mz_output_state`` builds the states from temperatures; it is the oracle
+that the compiled states are checked against.
 """
 
 from __future__ import annotations
@@ -109,17 +117,18 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-2] + (-1,))
 
 
-def _arm_matrices(cfg: MzConfig, t1s: np.ndarray, t2s: np.ndarray) -> np.ndarray:
+def _arm_matrices(cfg: MzConfig, amps1: np.ndarray, amps2: np.ndarray) -> np.ndarray:
     """Probe+bath vectors of the two arms as (probe, bath) matrices V_k, for
-    N temperature pairs: shape (N, arm, probe, bath).
+    N pairs of bath amplitude vectors (sqrt p0, sqrt p1), shape (N, 2) each:
+    shape (N, arm, probe, bath).
 
     The coupling unitary acts on the qubit-indexed tensor of each arm vector,
-    and with the probe factors first Tr_bath |v_k><v_l| = V_k V_l^dag.
+    and with the probe factors first Tr_bath |v_k><v_l| = V_k V_l^dag.  Arm k
+    is linear in the amplitudes of each bath it touches: in ``one_bath`` mode
+    bath k alone, in ``two_bath`` mode both baths.
     """
-    spec1 = ThermalBathSpec(t1s, cfg.energies, cfg.eta, cfg.beta_convention)
-    spec2 = ThermalBathSpec(t2s, cfg.energies, cfg.eta, cfg.beta_convention)
-    theta1 = channels.purified_bath_state(spec1)
-    theta2 = channels.purified_bath_state(spec2)
+    theta1 = channels.purification(amps1)
+    theta2 = channels.purification(amps2)
     psi0 = cfg.initial_state()
     u_t = channels.dilation_unitary(cfg.eta).T
     if cfg.bath_mode == "one_bath":
@@ -129,7 +138,7 @@ def _arm_matrices(cfg: MzConfig, t1s: np.ndarray, t2s: np.ndarray) -> np.ndarray
         base = _kron(_kron(psi0, theta1), theta2)
         bases = (base, base)
         qubits = cfg.probe_qubits + 4
-    n = len(t1s)
+    n = len(amps1)
     arms = []
     for base, pairs in zip(bases, _coupling_pairs(cfg)):
         v = base.reshape((n,) + (2,) * qubits)
@@ -151,14 +160,18 @@ def mz_output_state(cfg: MzConfig, t1, t2) -> np.ndarray:
     ``t1`` and ``t2`` are temperatures or equal-shape arrays of them; the
     result has their shape followed by (d, d), and a single pair is the N = 1
     case of the stacked build.  Every temperature must be positive, and no
-    state of the stack may sit at a dark port.
+    state of the stack may sit at a dark port.  This builder is the oracle
+    that the compiled setups (``mz_coefficients``) are checked against.
 
     ``postselected_plus``: normalized probe state conditioned on the control
     measuring in (|c1> + |c2>)/sqrt(2) after the arm phase.
     ``probe_plus_control``: probe (x) control joint state, control last.
     """
     t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
-    arms = _arm_matrices(cfg, t1.reshape(-1), t2.reshape(-1))
+    amps = [np.sqrt(channels.gibbs_probabilities(
+        ThermalBathSpec(t.reshape(-1), cfg.energies, cfg.eta, cfg.beta_convention)))
+        for t in (t1, t2)]
+    arms = _arm_matrices(cfg, *amps)
     d = cfg.probe_dim
     # blocks[n, i, k, j, l] = (Tr_bath |v_k><v_l|)[i, j], i.e. probe then control
     blocks = np.einsum("nkib,nljb->nikjl", arms, arms.conj())
@@ -173,6 +186,86 @@ def mz_output_state(cfg: MzConfig, t1, t2) -> np.ndarray:
         if state is None:
             raise DarkPortError(f"post-selected + branch has probability {np.min(prob):.3e}")
     return state.reshape(t1.shape + state.shape[1:])
+
+
+#: Monomials of one bath's amplitudes u = (sqrt p0, sqrt p1) up to degree two,
+#: as exponents of (u0, u1): the per-temperature basis of ``mz_coefficients``.
+AMPLITUDE_MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+_MONOMIAL_INDEX = np.zeros((3, 3), dtype=int)
+for _index, _exponents in enumerate(AMPLITUDE_MONOMIALS):
+    _MONOMIAL_INDEX[_exponents] = _index
+
+
+def amplitude_monomials(amps: np.ndarray) -> np.ndarray:
+    """The ``AMPLITUDE_MONOMIALS`` of amplitude pairs on the last axis."""
+    ext = np.concatenate([np.ones_like(amps[..., :1]), amps], axis=-1)
+    return ext[..., [0, 1, 2, 1, 1, 2]] * ext[..., [0, 0, 0, 1, 2, 2]]
+
+
+def _monomial_pairs(exponents) -> tuple[np.ndarray, np.ndarray]:
+    """Monomial indices (a, b) of the product of every pair of terms, from
+    each term's exponents of u0(t1), u1(t1), u0(t2), u1(t2)."""
+    e = np.array(exponents)
+    e = e[:, None] + e[None, :]
+    return _MONOMIAL_INDEX[e[..., 0], e[..., 1]], _MONOMIAL_INDEX[e[..., 2], e[..., 3]]
+
+
+#: The monomial pair of every pair of unit terms of ``mz_coefficients``, whose
+#: terms are the unit amplitude inputs times the two arms.  In ``one_bath``
+#: mode input n is e_n in both baths and arm k touches bath k alone; in
+#: ``two_bath`` mode the inputs are e_i (x) e_j and both arms touch both baths.
+_TERM_MONOMIALS = {
+    "one_bath": _monomial_pairs([(1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)]),
+    "two_bath": _monomial_pairs([(1, 0, 1, 0), (1, 0, 1, 0), (1, 0, 0, 1), (1, 0, 0, 1),
+                                 (0, 1, 1, 0), (0, 1, 1, 0), (0, 1, 0, 1), (0, 1, 0, 1)]),
+}
+
+
+def mz_coefficients(cfg: MzConfig) -> np.ndarray:
+    """Temperature-free coefficients M, shape (6, 6, D, D), of the
+    unnormalized output R of a layout at its phi and eta:
+
+        R(t1, t2) = sum_ab v_a(t1) v_b(t2) M[a, b],
+
+    with v the ``AMPLITUDE_MONOMIALS`` of each bath's amplitudes.  R is the
+    joint state, or its projection on the plus port; normalizing it gives
+    ``mz_output_state``.
+
+    The arms are built once, on unit amplitude vectors.  An arm at a
+    temperature pair is the sum of these unit arms weighted by amplitude
+    monomials, so R sums the bath traces of every pair of unit arms, dressed
+    by their control block and weighted by the product of their monomials.
+    """
+    eye = np.eye(2)
+    if cfg.bath_mode == "one_bath":
+        unit = _arm_matrices(cfg, eye, eye)
+    else:
+        unit = _arm_matrices(cfg, eye[[0, 0, 1, 1]], eye[[0, 1, 0, 1]])
+    # One term per unit amplitude input and arm, in that order, as rows of
+    # (term, probe) against the bath: gram[s, r] = Tr_bath |v_s><v_r|.  The
+    # product is at most 32 x 16 x 32, too small to start OpenBLAS threads.
+    t, d = 2 * len(unit), unit.shape[2]
+    rows = unit.reshape(t * d, -1)
+    gram = (rows @ rows.conj().T).reshape(t, d, t, d).transpose(0, 2, 1, 3)
+    # the arm phase of the off-diagonal control blocks, and the 1/2 of the
+    # balanced control superposition
+    phase = np.exp(1j * cfg.phi)
+    gram = 0.5 * gram
+    gram[0::2, 1::2] *= phase
+    gram[1::2, 0::2] *= np.conj(phase)
+    if cfg.estimation_target == "postselected_plus":
+        # the projection on the plus port halves every block
+        r = 0.5 * gram
+    else:
+        # each block goes to the control block (arm s, arm r)
+        r = np.zeros((t, t, d, 2, d, 2), dtype=complex)
+        for k, l in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            r[k::2, l::2, :, k, :, l] = gram[k::2, l::2]
+        r = r.reshape(t, t, 2 * d, 2 * d)
+    m = len(AMPLITUDE_MONOMIALS)
+    out = np.zeros((m, m) + r.shape[2:], dtype=complex)
+    np.add.at(out, _TERM_MONOMIALS[cfg.bath_mode], r)
+    return out
 
 
 def postselect_control(
@@ -204,9 +297,7 @@ def postselect_control(
     total = int(np.prod(dims))
     if joint.ndim < 2 or joint.shape[-2:] != (total, total):
         raise DimensionMismatchError(f"joint shape {joint.shape} does not match dims {dims}")
-    # Projecting the phased state onto |+/-> equals projecting the raw state
-    # onto the back-rotated vector u = (e^{-i phi}, +/-1)/sqrt(2).
-    u = np.array([np.exp(-1j * phi), float(sign)], dtype=complex) / math.sqrt(2.0)
+    u = _control_vector(sign, phi)
     batch = joint.shape[:-2]
     row = len(batch) + control_index
     t = np.moveaxis(joint.reshape(batch + dims + dims), (row, row + n), (-2, -1))
@@ -220,3 +311,9 @@ def postselect_control(
         return None, np.maximum(prob, 0.0)
     state = (reduced + tensor.dagger(reduced)) / (2.0 * prob[..., None, None])
     return state, prob
+
+
+def _control_vector(sign: int, phi: float) -> np.ndarray:
+    # Projecting the phased state onto |+/-> equals projecting the raw state
+    # onto the back-rotated vector u = (e^{-i phi}, +/-1)/sqrt(2).
+    return np.array([np.exp(-1j * phi), float(sign)], dtype=complex) / math.sqrt(2.0)

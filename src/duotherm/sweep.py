@@ -1,13 +1,14 @@
 """Temperature-grid sweeps with CSV and PGM emitters.
 
 A sweep evaluates one estimation setup on a square (t1, t2) grid and collects
-per-point bounds into flat records.  Each grid row is one stacked evaluation,
-so a row's states, with their stencil neighbours, are built in one call and
-memory stays bounded by 5 * grid_n states.  Records are ordered t1-major
-(row-major), equal bit for bit to single-point ``evaluate_bounds`` results,
-and the evaluation is deterministic for a fixed spec regardless of how many
-worker processes are used, so emitted CSV files are byte-identical across
-runs and worker counts.
+per-point bounds into flat records.  The setup is compiled once per sweep,
+and each grid row is one stacked evaluation of that compiled setup, so a
+row's states, with their stencil neighbours, come from one feature
+contraction and memory stays bounded by 5 * grid_n states.  Records are
+ordered t1-major (row-major), equal bit for bit to single-point
+``evaluate_bounds`` results, and the evaluation is deterministic for a fixed
+spec regardless of how many worker processes are used, so emitted CSV files
+are byte-identical across runs and worker counts.
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ import numpy as np
 from .errors import ConfigurationError, DuothermError, ValidationError
 from .channels import BETA_CONVENTIONS
 from .estimation import DerivativeConfig, evaluate_bounds
-from .setups import SETUP_IDS, check_setup_id, effective_dimension, make_setup
+from .setups import (SETUP_IDS, SetupEvaluator, check_setup_id, effective_dimension,
+                     make_setup)
 
 CSV_HEADER = "t1,t2,var_t1,var_t2,cov,total_var,det_qfim,attain_residual,singular"
 
@@ -93,11 +95,9 @@ class RangeSummary:
     empty: bool = False
 
 
-def _sweep_row(task: tuple[SweepSpec, int]) -> list[SweepRecord]:
-    spec, row = task
+def _sweep_row(task: tuple[SweepSpec, SetupEvaluator, int]) -> list[SweepRecord]:
+    spec, setup, row = task
     grid = spec.grid()
-    setup = make_setup(spec.setup_id, phi=spec.phi, eta=spec.eta,
-                       beta_convention=spec.beta_convention)
     cfg = DerivativeConfig(step=spec.step)
     t1 = float(grid[row])
     try:
@@ -146,7 +146,11 @@ def resolve_workers(requested: int | None) -> int:
 def run_sweep(spec: SweepSpec, workers: int | None = 1) -> list[SweepRecord]:
     """Evaluate the grid; t1-major order, deterministic for any worker count."""
     count = resolve_workers(workers)
-    tasks = [(spec, row) for row in range(spec.grid_n)]
+    # One compiled evaluator serves every row, in this process or pickled
+    # with the rows' tasks.
+    setup = make_setup(spec.setup_id, phi=spec.phi, eta=spec.eta,
+                       beta_convention=spec.beta_convention)
+    tasks = [(spec, setup, row) for row in range(spec.grid_n)]
     if count == 1:
         rows = [_sweep_row(task) for task in tasks]
     else:

@@ -17,6 +17,15 @@ route for (J_first, J_second) = (choi(B), choi(A)).  For a rank-one process
 the contraction Tr_A[W^{T_A} (J1 (x) J2 (x) 1_PF)] reduces to
 M J1(x)J2 M^dag with M the |w> vector reshaped to (P F) x A, which is what
 ``compose_process`` evaluates; the full W is never materialized.
+
+Compiled route: every thermal Kraus operator is sqrt(p_i) times a fixed
+shape, so the thermal switch's output is bilinear in the populations
+p(t1) (x) p(t2).  ``switch_coefficients`` is the compiler: it builds the d
+unit-population channels once and combines their superoperators into the
+temperature-free coefficient tensor, from which a setup's states are one
+feature contraction.  ``switch_output_state`` builds the states from
+temperatures through the Kraus route; it is the oracle that the compiled
+states are checked against.
 """
 
 from __future__ import annotations
@@ -101,15 +110,30 @@ def switch_kraus_output(cfg: SwitchConfig, rho_in: np.ndarray) -> np.ndarray:
     if rho_in.shape != (d, d):
         raise DimensionMismatchError(f"input shape {rho_in.shape} does not match dim {d}")
     f = cfg.channel_a.ops
-    k = cfg.channel_b.ops
+    out = _controlled_order(f, _superoperator(f), _superoperator(cfg.channel_b.ops), rho_in,
+                            cfg.control_vector())
+    return (out + tensor.dagger(out)) / 2.0
 
-    def superoperator(ops):
-        # S[(i, j), (k, l)] = sum_a K_a[i, k] conj(K_a[j, l]), so that the
-        # channel maps the row-major vec(X) to S vec(X)
-        s = np.einsum("...aik,...ajl->...ijkl", ops, ops.conj())
-        return s.reshape(s.shape[:-4] + (d * d, d * d))
 
-    s_a, s_b = superoperator(f), superoperator(k)
+def _superoperator(ops: np.ndarray) -> np.ndarray:
+    """S[(i, j), (k, l)] = sum_a K_a[i, k] conj(K_a[j, l]) of Kraus sets
+    (..., n, d, d), so that the map sends the row-major vec(X) to S vec(X)."""
+    d = ops.shape[-1]
+    s = (ops[..., :, :, None, :, None] * ops.conj()[..., :, None, :, None, :]).sum(axis=-5)
+    return s.reshape(s.shape[:-4] + (d * d, d * d))
+
+
+def _controlled_order(f: np.ndarray, s_a: np.ndarray, s_b: np.ndarray, rho_in: np.ndarray,
+                      c: np.ndarray) -> np.ndarray:
+    """Output of the controlled-order map before Hermitization, with channel
+    A given by its operator set f, shape (..., n, d, d), and superoperator
+    s_a, and channel B by its superoperator s_b.
+
+    The output is linear in each channel's superoperator and in f's outer
+    products, so the sets need not be complete channels: on the unit
+    population channels it gives the switch's coefficient tensor.
+    """
+    d = rho_in.shape[0]
     batch = np.broadcast_shapes(s_a.shape[:-2], s_b.shape[:-2])
     vec = rho_in.reshape(d * d, 1)
     # Summed over the aligned pairs H_ij, the diagonal blocks are the two
@@ -120,15 +144,13 @@ def switch_kraus_output(cfg: SwitchConfig, rho_in: np.ndarray) -> np.ndarray:
     x = (rho_in @ tensor.dagger(f)).reshape(f.shape[:-2] + (d * d,))
     b_x = (x @ np.swapaxes(s_b, -1, -2)).reshape(batch + (-1, d))
     s12 = np.swapaxes(f, -3, -2).reshape(f.shape[:-3] + (d, -1)) @ b_x
-    c = cfg.control_vector()
     rho_c = np.outer(c, c.conj())
     blocks = np.empty(batch + (2, 2, d, d), dtype=complex)
     blocks[..., 0, 0, :, :] = rho_c[0, 0] * s11
     blocks[..., 1, 1, :, :] = rho_c[1, 1] * s22
     blocks[..., 0, 1, :, :] = rho_c[0, 1] * s12
     blocks[..., 1, 0, :, :] = rho_c[1, 0] * tensor.dagger(s12)
-    out = np.einsum("...uvil->...iulv", blocks).reshape(batch + (2 * d, 2 * d))
-    return (out + tensor.dagger(out)) / 2.0
+    return np.einsum("...uvil->...iulv", blocks).reshape(batch + (2 * d, 2 * d))
 
 
 def switch_process_matrix(target_dim: int) -> ProcessMatrix:
@@ -258,3 +280,28 @@ def switch_output_state(
     rho_in[0, 0] = 1.0
     out = switch_kraus_output(cfg, rho_in)
     return out.reshape(t1.shape + out.shape[1:])
+
+
+def switch_coefficients(target_dim: int, eta: float = 1.0) -> np.ndarray:
+    """Temperature-free coefficient tensor M, shape (d, d, 2d, 2d), of the
+    default thermal switch: ``switch_output_state`` at (t1, t2) is
+    sum_ij p_i(t1) p_j(t2) M[i, j], with p the Gibbs populations.
+
+    Every Kraus operator is sqrt(p_i) times a fixed shape, so each channel's
+    superoperator is sum_i p_i S_i over the d unit-population channels (the
+    operators of level i alone).  The unit channels are built once, and
+    M[i, j] is the map with unit channel i in slot A and j in slot B.
+    """
+    if target_dim == 2:
+        shapes, level = channels.gadc_shapes(eta)
+    else:
+        shapes, level = channels.exchange_shapes(
+            eta * (np.ones((target_dim, target_dim)) - np.eye(target_dim)))
+    # every level scales the same number of operators
+    unit = shapes[np.argsort(level, kind="stable")].reshape(target_dim, -1, target_dim,
+                                                            target_dim).astype(complex)
+    s = _superoperator(unit)
+    ground = np.zeros((target_dim, target_dim), dtype=complex)
+    ground[0, 0] = 1.0
+    return _controlled_order(unit[:, None], s[:, None], s[None, :], ground,
+                             np.asarray(_plus_state(), dtype=complex))

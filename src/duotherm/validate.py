@@ -11,7 +11,7 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import ChannelConstructionError, ConfigurationError
 from .estimation import (DerivativeConfig, evaluate_bounds, qfim, qfim_eigensum,
                          sld_operators, state_and_derivatives)
 from .interferometer import MzConfig, mz_output_state
-from .setups import make_setup
+from .setups import SETUP_IDS, make_setup
 from .sweep import SweepSpec, emit_csv, emit_pgm_heatmap, read_csv, run_sweep
 from .switch import (switch_channel_choi, switch_kraus_output, switch_output_state,
                      switch_process_output, thermal_switch_config)
@@ -149,6 +149,28 @@ def check_mz_phase_independence(rng: np.random.Generator, defective: bool = Fals
         worst = max(worst, abs(a.var_t1 - b.var_t1), abs(a.var_t2 - b.var_t2))
     assert worst < 1e-6, f"with-control variances moved by {worst:.2e} under phi"
     return f"worst phi drift {worst:.2e}"
+
+
+def check_compiled_state_agreement(rng: np.random.Generator, defective: bool = False) -> str:
+    """Compiled states of all nine setups against the temperature-taking
+    builders, at random (t1, t2, phi, eta) under both beta conventions,
+    within 1e-13 (max abs).  The negative control scales the largest
+    coefficient of every compiled tensor by 1 + 1e-9."""
+    worst = 0.0
+    for setup_id in SETUP_IDS:
+        for beta in channels.BETA_CONVENTIONS:
+            setup = make_setup(setup_id, phi=float(rng.uniform(0.0, 2.0 * math.pi)),
+                               eta=float(rng.uniform(0.05, 1.0)), beta_convention=beta)
+            t1s, t2s = np.array(_random_temps(rng, 4)), np.array(_random_temps(rng, 4))
+            compiled = setup.compiled
+            if defective:
+                c = compiled.coefficients.copy()
+                c.flat[np.argmax(np.abs(c))] *= 1.0 + 1e-9
+                compiled = replace(compiled, coefficients=c)
+            states = compiled.states(t1s, t2s, beta)
+            worst = max(worst, float(np.max(np.abs(states - setup.builder_states(t1s, t2s)))))
+    assert worst < 1e-13, f"compiled states differ from the builders by {worst:.2e}"
+    return f"9 setups x 2 beta conventions, 4 pairs each, worst difference {worst:.2e}"
 
 
 def check_switch_route_equivalence(rng: np.random.Generator, defective: bool = False) -> str:
@@ -282,6 +304,7 @@ CHECKS = {
     "mz_state_validity": check_mz_state_validity,
     "mz_swap_symmetry": check_mz_swap_symmetry,
     "mz_phase_independence": check_mz_phase_independence,
+    "compiled_state_agreement": check_compiled_state_agreement,
     "switch_route_equivalence": check_switch_route_equivalence,
     "switch_choi_cptp": check_switch_choi_cptp,
     "qfi_thermal_qubit": check_qfi_thermal_qubit,

@@ -1,9 +1,18 @@
-"""Setup registry: the stacked state builders and their single-pair case."""
+"""Setup registry: compiled states, their builder oracle, swap symmetry and
+the single-pair case."""
+import math
+import pickle
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from duotherm.errors import ConfigurationError
+from duotherm.channels import BETA_CONVENTIONS
+from duotherm.errors import ConfigurationError, DarkPortError
 from duotherm.setups import SETUP_IDS, effective_dimension, make_setup
+from duotherm.sweep import SweepSpec, records_to_grid, run_sweep
 
 
 @pytest.mark.parametrize("setup_id", SETUP_IDS)
@@ -23,3 +32,64 @@ def test_stacked_states_equal_single_pair_builds(setup_id):
 def test_one_non_positive_temperature_rejects_the_stack(setup_id):
     with pytest.raises(ConfigurationError, match="temperature must be positive, got -0.2"):
         make_setup(setup_id).states(np.array([0.3, 0.4, 0.5]), np.array([0.6, -0.2, 0.7]))
+
+
+phases = st.one_of(st.floats(0.0, math.pi - 0.1), st.floats(math.pi + 0.1, 2.0 * math.pi))
+temperature_stacks = st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(0.1, 1.0)),
+                              min_size=1, max_size=6)
+
+
+@given(setup_id=st.sampled_from(SETUP_IDS), phi=phases, eta=st.floats(0.05, 1.0),
+       beta=st.sampled_from(BETA_CONVENTIONS), pairs=temperature_stacks)
+@settings(max_examples=60, deadline=None)
+def test_compiled_states_match_the_builders(setup_id, phi, eta, beta, pairs):
+    # the coefficient tensor reproduces the temperature-taking builders it
+    # was compiled from; phases stay 0.1 clear of the shared-bath dark port
+    setup = make_setup(setup_id, phi=phi, eta=eta, beta_convention=beta)
+    t1s, t2s = np.array(pairs).T
+    assert np.max(np.abs(setup.states(t1s, t2s) - setup.builder_states(t1s, t2s))) < 1e-13
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.37])
+@pytest.mark.parametrize("phi", [0.0, 0.7, math.pi / 2, 2.5, math.pi])
+def test_two_qubit_states_are_exactly_swap_symmetric(phi, eta):
+    # the crossed layout is symmetric under t1 <-> t2 and the shared one
+    # turns into its complex conjugate, bit for bit
+    rng = np.random.default_rng(20241018)
+    t1s, t2s = rng.uniform(0.1, 1.0, size=(2, 20))
+    crossed = make_setup("mz2b_2q", phi=phi, eta=eta)
+    assert crossed.states(t2s, t1s).tobytes() == crossed.states(t1s, t2s).tobytes()
+    shared = make_setup("mz1b_2q", phi=phi, eta=eta)
+    assert np.array_equal(shared.states(t2s, t1s), shared.states(t1s, t2s).conj())
+
+
+@pytest.mark.parametrize("setup_id", ["mz1b_2q", "mz2b_2q"])
+@pytest.mark.parametrize("phi", [0.7, math.pi / 2, 2.5])
+def test_two_qubit_variances_are_exactly_swap_symmetric(setup_id, phi):
+    records = run_sweep(SweepSpec(setup_id, grid_n=16, phi=phi))
+    for name in ("var_t1", "var_t2"):
+        assert np.isfinite(records_to_grid(records, name)).sum() >= 16 * 15
+    var1 = records_to_grid(records, "var_t1")
+    var2 = records_to_grid(records, "var_t2")
+    assert np.array_equal(var1, var2.T)
+
+
+def test_compiled_dark_port_is_an_error():
+    # identical arms with a pi phase cancel in the plus port
+    with pytest.raises(DarkPortError, match="post-selected"):
+        make_setup("mz1b", phi=math.pi).states(np.array([0.3, 0.4]), np.array([0.5, 0.4]))
+
+
+def test_evaluators_compare_hash_and_pickle_by_their_four_parameters():
+    setup = make_setup("swi3", phi=1.0, eta=0.5, beta_convention="log2")
+    twin = make_setup("swi3", phi=1.0, eta=0.5, beta_convention="log2")
+    assert setup == twin and hash(setup) == hash(twin)
+    assert setup != make_setup("swi3", phi=1.0, eta=0.6, beta_convention="log2")
+    assert repr(setup) == ("SetupEvaluator(setup_id='swi3', phi=1.0, eta=0.5, "
+                           "beta_convention='log2')")
+    assert [f.name for f in fields(setup) if f.compare] == [
+        "setup_id", "phi", "eta", "beta_convention"]
+    shipped = pickle.loads(pickle.dumps(setup))
+    assert shipped == setup and hash(shipped) == hash(setup)
+    t1s, t2s = np.array([0.2, 0.6]), np.array([0.9, 0.3])
+    assert shipped.states(t1s, t2s).tobytes() == setup.states(t1s, t2s).tobytes()

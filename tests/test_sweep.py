@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duotherm import sweep
+from duotherm import setups, sweep
 from duotherm.errors import ConfigurationError, DuothermError, ValidationError
 from duotherm.estimation import DerivativeConfig, evaluate_bounds
 from duotherm.setups import SETUP_IDS, make_setup
@@ -261,3 +261,17 @@ def test_failed_sweep_names_the_first_failing_point_in_t1_major_order(monkeypatc
     with pytest.raises(DuothermError, match=r"\(t1=0\.55, t2=0\.55\): synthetic failure") as info:
         run_sweep(SweepSpec(setup_id="swi2", grid_n=3), workers=1)
     assert isinstance(info.value.__cause__, ValidationError)
+
+
+def test_a_sweep_compiles_its_setup_once(monkeypatch):
+    compile_setup = setups.compile_setup
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compile_setup(*args, **kwargs)
+
+    monkeypatch.setattr(setups, "compile_setup", counting)
+    records = run_sweep(SweepSpec(setup_id="mz2b_wc", grid_n=6), workers=1)
+    assert len(records) == 36
+    assert calls == [("mz2b_wc", math.pi / 2, 1.0)]

@@ -6,10 +6,10 @@ from duotherm.validate import CHECKS, CheckResult, as_report, run_checks
 
 
 def test_registry_is_complete():
-    assert len(CHECKS) == 15
+    assert len(CHECKS) == 16
     prefixes = {name.split("_")[0] for name in CHECKS}
-    assert {"tensor", "channel", "mz", "switch", "qfi", "qfim", "attainability",
-            "sweep"} <= prefixes
+    assert {"tensor", "channel", "mz", "compiled", "switch", "qfi", "qfim",
+            "attainability", "sweep"} <= prefixes
 
 
 def test_all_checks_pass_with_default_seed():

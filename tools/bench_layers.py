@@ -1,0 +1,166 @@
+"""Wall time and per-layer cost of the nine default 46x46 sweeps.
+
+    python3 tools/bench_layers.py --out BENCH.json LABEL=SRC [LABEL=SRC ...]
+
+Each SRC is the ``src`` directory of a checkout.  Each of ``REPEATS`` rounds
+measures every source once, in turn and each in a fresh interpreter:
+
+* end to end: the nine default sweeps (19,044 grid points) run back to back
+  with ``run_sweep`` at 1 worker and at auto workers (``workers=0``);
+* per setup, at 1 worker in one process: building the evaluator (once per
+  sweep), then per grid row the state build with its derivative stencil,
+  density-matrix validation, ``eigh`` with the SLDs, and the QFIM with the
+  bounds, then writing the sweep's CSV and PGM files.  Each layer is given
+  in microseconds per grid point.
+
+The JSON file holds, per label, the median over the repeats of every figure,
+the effective worker count and the BLAS library with its thread count.
+"""
+from __future__ import annotations
+
+import argparse
+import ctypes
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+GRID_POINTS = 46 * 46
+REPEATS = 5
+
+
+def blas_info() -> dict:
+    """OpenBLAS configuration and thread count of this process, read from the
+    library numpy loaded; empty when no OpenBLAS is mapped or the process map
+    cannot be read (it is read from /proc, so on Linux only)."""
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = sorted({line.split()[-1] for line in handle if "openblas" in line.lower()})
+    except OSError:
+        return {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                threads = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                config = getattr(lib, f"{prefix}_get_config{suffix}", None)
+                if threads is not None and config is not None:
+                    config.restype = ctypes.c_char_p
+                    return {"config": config().decode(), "threads": int(threads())}
+    return {}
+
+
+def measure(src: str) -> dict:
+    """One measurement of the checkout whose package lives in ``src``."""
+    sys.path.insert(0, src)
+    import numpy as np
+
+    import duotherm as dt
+    from duotherm import estimation, tensor
+    from duotherm.sweep import resolve_workers
+
+    end_to_end = {}
+    for name, workers in (("workers_1", 1), ("workers_auto", 0)):
+        start = time.perf_counter()
+        for setup_id in dt.SETUP_IDS:
+            dt.run_sweep(dt.SweepSpec(setup_id), workers=workers)
+        end_to_end[name] = time.perf_counter() - start
+
+    layers = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for setup_id in dt.SETUP_IDS:
+            spec = dt.SweepSpec(setup_id)
+            cfg = dt.DerivativeConfig(step=spec.step)
+            grid = spec.grid()
+            spent = dict.fromkeys(("state_build", "validate", "eigh_slds", "qfim_bounds"), 0.0)
+            start = time.perf_counter()
+            setup = dt.make_setup(setup_id, phi=spec.phi, eta=spec.eta,
+                                  beta_convention=spec.beta_convention)
+            setup_build = time.perf_counter() - start
+            for t1 in grid:
+                t0 = time.perf_counter()
+                rho, d1, d2 = estimation.state_and_derivatives(setup, np.full_like(grid, t1),
+                                                               grid, cfg)
+                t1_ = time.perf_counter()
+                tensor.validate_density_matrix(rho)
+                t2_ = time.perf_counter()
+                l1, l2 = estimation.sld_operators(rho, d1, d2, cfg)
+                t3_ = time.perf_counter()
+                estimation.crb_bounds(estimation.qfim(rho, l1, l2, cfg))
+                t4_ = time.perf_counter()
+                spent["state_build"] += t1_ - t0
+                spent["validate"] += t2_ - t1_
+                spent["eigh_slds"] += t3_ - t2_
+                spent["qfim_bounds"] += t4_ - t3_
+            start = time.perf_counter()
+            records = dt.run_sweep(spec, workers=1)
+            sweep = time.perf_counter() - start
+            start = time.perf_counter()
+            dt.emit_csv(records, os.path.join(tmp, f"{setup_id}.csv"))
+            dt.emit_pgm_heatmap(records, "total_var", os.path.join(tmp, f"{setup_id}.pgm"))
+            spent["emit"] = time.perf_counter() - start
+            spent["sweep"] = sweep
+            layers[setup_id] = {k: 1e6 * v / GRID_POINTS for k, v in spent.items()}
+            layers[setup_id]["setup_build_us_per_sweep"] = 1e6 * setup_build
+
+    auto = resolve_workers(0)
+    return {
+        "end_to_end_s": end_to_end,
+        "per_setup_us_per_point": layers,
+        "workers": {"auto": auto, "auto_effective": min(auto, 46)},
+        "numpy": np.__version__,
+        "blas": blas_info(),
+    }
+
+
+def median_of(runs: list) -> object:
+    """Element-wise median of equal-shape nested dicts of numbers."""
+    first = runs[0]
+    if isinstance(first, dict):
+        return {k: median_of([r[k] for r in runs]) for k in first}
+    if isinstance(first, (int, float)) and not isinstance(first, bool):
+        return statistics.median(runs)
+    return first
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("sources", nargs="*", metavar="LABEL=SRC")
+    parser.add_argument("--out", help="JSON file to write (default: standard output)")
+    parser.add_argument("--measure", metavar="SRC", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.measure:
+        print(json.dumps(measure(args.measure)))
+        return 0
+    if not args.sources:
+        parser.error("give at least one LABEL=SRC")
+    sources = dict(item.split("=", 1) for item in args.sources)
+    runs = {label: [] for label in sources}
+    for _ in range(REPEATS):
+        for label, src in sources.items():
+            proc = subprocess.run([sys.executable, __file__, "--measure", os.path.abspath(src)],
+                                  capture_output=True, text=True, check=True)
+            runs[label].append(json.loads(proc.stdout))
+    report = {
+        "unit_of_work": "nine default 46x46 sweeps, 19,044 grid points",
+        "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
+                    "platform": platform.platform()},
+        "repeats": REPEATS,
+        "statistic": "median over repeats",
+        "runs": {label: median_of(r) for label, r in runs.items()},
+    }
+    text = json.dumps(report, indent=1) + "\n"
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
