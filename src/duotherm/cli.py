@@ -39,8 +39,9 @@ def _add_sweep_flags(parser: argparse.ArgumentParser, with_setup: bool = True) -
                         help="Gibbs weight convention (default natural)")
     parser.add_argument("--step", type=float, help="finite-difference step (default 1e-5)")
     parser.add_argument("--config", help="JSON file with sweep fields; flags override")
-    parser.add_argument("--workers", type=int,
-                        help="worker processes (default auto, capped by DUOTHERM_THREADS)")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker processes (default 1; 0 means one per CPU); at most "
+                             "one per CPU, capped by DUOTHERM_THREADS")
 
 
 def _load_config(path: str | None) -> dict:

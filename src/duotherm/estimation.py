@@ -10,14 +10,20 @@ pair is the N = 1 case.
 Derivatives are central finite differences with a temperature-scaled step
 h = step * max(1, T); the states at the N points and at their four stencil
 neighbours come from one build of 5N states, which for the registered setups
-is one feature contraction of their compiled coefficient tensor.  The symmetric logarithmic
-derivative L solves dRho = (L Rho + Rho L) / 2 and is assembled in the
-eigenbasis of Rho as L_ab = 2 dRho_ab / (s_a + s_b) wherever s_a + s_b
-exceeds the support cutoff, zero elsewhere (this covers the support/kernel
-cross blocks as well), with one eigendecomposition for the whole stack (Liu,
-Yuan, Lu & Wang, J. Phys. A 53, 023001 (2020)).  QFIM entries use the
-anticommutator form Q_nm = Re Tr(Rho {L_n, L_m}) / 2; the residual
-|Tr(Rho [L1, L2])| reports whether both bounds are simultaneously attainable.
+is one feature contraction of their compiled coefficient tensor.
+
+Each state at a point is decomposed once, Rho = V diag(s) V^H, and that one
+Hermitian eigendecomposition also validates it (Hermiticity, unit trace,
+eigenvalue floor; ``tensor.density_eig``).  The symmetric logarithmic
+derivative L solves dRho = (L Rho + Rho L) / 2; in the eigenbasis it is
+L_ij = 2 g_ij / (s_i + s_j) with g = V^H dRho V wherever s_i + s_j exceeds
+the support cutoff, zero elsewhere (this covers the support/kernel cross
+blocks as well) (Liu, Yuan, Lu & Wang, J. Phys. A 53, 023001 (2020)).  The
+pipeline never rotates L back: QFIM entries use the anticommutator form
+Q_nm = Re Tr(Rho {L_n, L_m}) / 2, traced in the eigenbasis, and the residual
+|Tr(Rho [L1, L2])| reports whether both bounds are simultaneously
+attainable.  ``sld_operators`` gives L in the original basis, and
+``qfim_eigensum`` is an independent oracle of the QFIM.
 
 Singular information matrices are flagged relative to the scale
 max(1, ||Q||_max^2) and yield +inf variance sentinels, never clamped values.
@@ -58,8 +64,6 @@ DEFAULT_DERIVATIVES = DerivativeConfig()
 class QfimResult:
     qfim: np.ndarray
     determinant: float | np.ndarray
-    sld_1: np.ndarray
-    sld_2: np.ndarray
     attainability_residual: float | np.ndarray
     singular: bool | np.ndarray
 
@@ -116,26 +120,42 @@ def state_and_derivatives(
     return tuple(x.reshape(shape + x.shape[-2:]) for x in (rho, d1, d2))
 
 
+def _eigenbasis_slds(
+    vals: np.ndarray,
+    vecs: np.ndarray,
+    d_rho_1: np.ndarray,
+    d_rho_2: np.ndarray,
+    cfg: DerivativeConfig,
+) -> np.ndarray:
+    """Both SLDs in the eigenbasis of Rho = V diag(s) V^H, stacked as
+    (..., 2, d, d): with g = V^H dRho V, L_ij = 2 g_ij / (s_i + s_j) where
+    s_i + s_j exceeds the support cutoff, zero elsewhere, and L is made
+    exactly Hermitian."""
+    lead, d = vals.shape[:-1], vals.shape[-1]
+    d_rho = np.stack([tensor.as_complex(d_rho_1), tensor.as_complex(d_rho_2)], axis=-3)
+    # g = (dRho V)^H V for Hermitian dRho, with both parameters' blocks
+    # stacked in the rows of one product per point.
+    w = tensor.dagger((d_rho.reshape(lead + (2 * d, d)) @ vecs).reshape(lead + (2, d, d)))
+    g = (w.reshape(lead + (2 * d, d)) @ vecs).reshape(lead + (2, d, d))
+    denom = vals[..., :, None] + vals[..., None, :]
+    inverse = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > cfg.support_tol)
+    return (g + tensor.dagger(g)) * inverse[..., None, :, :]
+
+
 def sld_operators(
     rho: np.ndarray,
     d_rho_1: np.ndarray,
     d_rho_2: np.ndarray,
     cfg: DerivativeConfig = DEFAULT_DERIVATIVES,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric logarithmic derivatives for both parameters, for one state
-    or a stack of shape (..., d, d)."""
+    """Symmetric logarithmic derivatives for both parameters in the basis of
+    Rho, for one state or a stack of shape (..., d, d): the eigenbasis SLDs
+    of the estimation pipeline, rotated back."""
     vals, vecs = tensor.herm_eig(rho)
-    vecs_h = tensor.dagger(vecs)
-    denom = vals[..., :, None] + vals[..., None, :]
-    mask = denom > cfg.support_tol
-    safe = np.where(mask, denom, 1.0)
-    out = []
-    for d_rho in (d_rho_1, d_rho_2):
-        g = vecs_h @ tensor.as_complex(d_rho) @ vecs
-        l_eig = np.where(mask, 2.0 * g / safe, 0.0)
-        l = vecs @ l_eig @ vecs_h
-        out.append((l + tensor.dagger(l)) / 2.0)
-    return out[0], out[1]
+    slds = _eigenbasis_slds(vals, vecs, d_rho_1, d_rho_2, cfg)
+    vecs = vecs[..., None, :, :]
+    slds = vecs @ slds @ tensor.dagger(vecs)
+    return slds[..., 0, :, :], slds[..., 1, :, :]
 
 
 def qfim(
@@ -145,16 +165,23 @@ def qfim(
     cfg: DerivativeConfig = DEFAULT_DERIVATIVES,
 ) -> QfimResult:
     """Quantum Fisher information matrix from the SLD pair, for one state or
-    a stack of shape (..., d, d)."""
-    rho = tensor.as_complex(rho)
-    l1 = tensor.as_complex(sld_1)
-    l2 = tensor.as_complex(sld_2)
-    slds = np.stack([l1, l2], axis=-3)
+    a stack of shape (..., d, d), in any basis shared by Rho and the SLDs.
+
+    In the eigenbasis of Rho, ``rho`` may be given as its eigenvalues s,
+    shape (..., d), for Rho = diag(s); the pipeline does so, and the traces
+    are then the sums Q_ab = sum_ij 2 Re(g_a,ij g_b,ji) / (s_i + s_j) over
+    the support, with g_a = V^H d_a Rho V.
+    """
+    slds = np.stack([tensor.as_complex(sld_1), tensor.as_complex(sld_2)], axis=-3)
+    if np.ndim(rho) == slds.ndim - 2:
+        rho_slds = np.asarray(rho)[..., None, :, None] * slds
+    else:
+        rho_slds = tensor.as_complex(rho)[..., None, :, :] @ slds
     # t[a, b] = Tr(rho L_a L_b): Q12 is the anticommutator form
     # Re(t[0, 1] + t[1, 0]) / 2, and t[0, 1] - t[1, 0] = Tr(rho [L1, L2]).
     # Summing both orders keeps Q12 the same, bit for bit, when the roles of
     # the two parameters are exchanged.
-    t = np.einsum("...aij,...bji->...ab", rho[..., None, :, :] @ slds, slds)
+    t = np.einsum("...aij,...bji->...ab", rho_slds, slds)
     q11, q22 = t[..., 0, 0].real, t[..., 1, 1].real
     q12 = (t[..., 0, 1].real + t[..., 1, 0].real) / 2.0
     residual = np.abs(t[..., 0, 1] - t[..., 1, 0])
@@ -163,14 +190,8 @@ def qfim(
     scale = np.maximum(1.0, np.abs(q).max(axis=(-2, -1)) ** 2)
     singular = np.abs(det) < cfg.singular_tol * scale
     det, residual, singular = _scalars(det, residual, singular)
-    return QfimResult(
-        qfim=q,
-        determinant=det,
-        sld_1=l1,
-        sld_2=l2,
-        attainability_residual=residual,
-        singular=singular,
-    )
+    return QfimResult(qfim=q, determinant=det, attainability_residual=residual,
+                      singular=singular)
 
 
 def qfim_eigensum(
@@ -248,12 +269,12 @@ def evaluate_bounds(
     or at equal-shape arrays of N pairs with one stacked state build, one
     eigendecomposition and one QFIM evaluation for the whole stack.
 
-    The states at the points themselves are validated as density matrices
-    once here; the setups do not validate, so the stencil states are
-    unchecked.
+    The eigendecomposition of the states at the points themselves validates
+    them as density matrices; the setups do not validate, so the stencil
+    states are unchecked.  The SLDs and the QFIM stay in the eigenbasis.
     """
     rho, d1, d2 = state_and_derivatives(setup, t1, t2, cfg)
-    tensor.validate_density_matrix(rho)
-    l1, l2 = sld_operators(rho, d1, d2, cfg)
-    info = qfim(rho, l1, l2, cfg)
+    vals, vecs = tensor.density_eig(rho)
+    slds = _eigenbasis_slds(vals, vecs, d1, d2, cfg)
+    info = qfim(vals, slds[..., 0, :, :], slds[..., 1, :, :], cfg)
     return info, crb_bounds(info, repetitions)

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor
 from .channels import ThermalBathSpec, gibbs_probabilities
 from .errors import ConfigurationError, DarkPortError
 from .interferometer import (AMPLITUDE_MONOMIALS, DARK_PORT_TOL, MzConfig, amplitude_monomials,
@@ -148,7 +147,11 @@ class CompiledSetup:
         if (prob < DARK_PORT_TOL).any():
             raise DarkPortError(
                 f"post-selected + branch has probability {np.min(np.maximum(prob, 0.0)):.3e}")
-        return (r + tensor.dagger(r)) / (2.0 * prob[:, None, None])
+        # r + r^H, with the conjugate taken of the contiguous r and then
+        # transposed as a view, which is cheaper than conjugating the view.
+        herm = r + r.conj().swapaxes(-1, -2)
+        herm /= (2.0 * prob)[:, None, None]
+        return herm
 
 
 def _candidate_pairs(n: int) -> np.ndarray:

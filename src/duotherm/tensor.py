@@ -5,9 +5,11 @@ slowest-varying (most significant) index.  Subsystem shapes are plain tuples
 of per-factor dimensions whose product must equal the matrix dimension.
 
 Eigendecomposition is delegated to ``numpy.linalg.eigh`` behind the
-``herm_eig`` surface; everything else is reshape/einsum bookkeeping.
-``dagger``, ``herm_eig`` and ``validate_density_matrix`` also take stacks
-of shape ``(..., d, d)`` and act on every matrix of the stack.
+``herm_eig`` surface and its validating variant ``density_eig``, whose one
+decomposition both checks a density matrix and serves the estimation;
+everything else is reshape/einsum bookkeeping.  ``dagger``, ``herm_eig``,
+``density_eig`` and ``validate_density_matrix`` also take stacks of shape
+``(..., d, d)`` and act on every matrix of the stack.
 ``embed_operator``, ``partial_trace`` and ``partial_transpose`` work on dense
 full-space operators; no state builder uses them, they are the references
 that the dilation check and the tests compare against.
@@ -159,16 +161,20 @@ def validate_pure_state(psi, tol: float = STATE_NORM_TOL) -> np.ndarray:
     return psi
 
 
-def validate_density_matrix(
+def density_eig(
     rho,
     herm_tol: float = HERMITICITY_TOL,
     trace_tol: float = TRACE_TOL,
     eig_floor: float = EIGENVALUE_FLOOR,
-) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a state or of every
-    state of a stack; returns the input array.  A stack is reported by its
-    worst Hermiticity defect, its first trace off 1 and its smallest
-    eigenvalue."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a density matrix, or of each state of a stack,
+    that also validates it: Hermiticity, unit trace, and the smallest
+    eigenvalue of the same decomposition against the floor.
+
+    Returns ``(vals, vecs)`` as ``herm_eig`` does.  A stack is reported by
+    its worst Hermiticity defect, its first trace off 1 and its smallest
+    eigenvalue.
+    """
     rho = as_complex(rho)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValidationError(f"density matrix must be square, got shape {rho.shape}")
@@ -179,9 +185,23 @@ def validate_density_matrix(
     off = np.abs(traces - 1.0) > trace_tol
     if off.any():
         raise ValidationError(f"density matrix trace {complex(traces[off][0])!r} is not 1")
-    smallest = float(np.min(np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)))
+    vals, vecs = np.linalg.eigh(rho)
+    smallest = float(np.min(vals[..., 0]))
     if smallest < eig_floor:
         raise ValidationError(f"density matrix has negative eigenvalue {smallest:.3e}")
+    return vals, vecs
+
+
+def validate_density_matrix(
+    rho,
+    herm_tol: float = HERMITICITY_TOL,
+    trace_tol: float = TRACE_TOL,
+    eig_floor: float = EIGENVALUE_FLOOR,
+) -> np.ndarray:
+    """The checks of ``density_eig`` on a state or on every state of a stack;
+    returns the input array."""
+    rho = as_complex(rho)
+    density_eig(rho, herm_tol, trace_tol, eig_floor)
     return rho
 
 

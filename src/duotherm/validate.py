@@ -241,15 +241,19 @@ def check_qfi_thermal_qubit(rng: np.random.Generator, defective: bool = False) -
 
 
 def check_qfim_route_agreement(rng: np.random.Generator, defective: bool = False) -> str:
+    """The pipeline's eigenbasis QFIM and the back-rotated SLDs' QFIM both
+    agree with the eigen-sum oracle."""
     t1, t2 = _random_temps(rng)
     cfg = DerivativeConfig()
-    rho, d1, d2 = state_and_derivatives(make_setup("mz2b_wc"), t1, t2, cfg)
-    l1, l2 = sld_operators(rho, d1 * 1.001 if defective else d1, d2, cfg)
-    via_anticomm = qfim(rho, l1, l2, cfg).qfim
-    via_eigsum = qfim_eigensum(rho, d1, d2, cfg)
-    err = float(np.max(np.abs(via_anticomm - via_eigsum)))
-    assert err < 1e-7, f"QFIM routes differ by {err:.2e}"
-    return f"route difference {err:.2e}"
+    setup = make_setup("mz2b_wc")
+    rho, d1, d2 = state_and_derivatives(setup, t1, t2, cfg)
+    via_eigsum = qfim_eigensum(rho, d1 * 1.001 if defective else d1, d2, cfg)
+    via_pipeline = evaluate_bounds(setup, t1, t2, cfg)[0].qfim
+    via_slds = qfim(rho, *sld_operators(rho, d1, d2, cfg), cfg).qfim
+    errs = [float(np.max(np.abs(q - via_eigsum))) for q in (via_pipeline, via_slds)]
+    assert max(errs) < 1e-7, \
+        f"QFIM routes differ from the eigen-sum by {errs[0]:.2e}, {errs[1]:.2e}"
+    return f"eigen-sum differences: pipeline {errs[0]:.2e}, back-rotated SLDs {errs[1]:.2e}"
 
 
 def check_attainability_wc(rng: np.random.Generator, defective: bool = False) -> str:

@@ -43,9 +43,7 @@ def random_traceless_hermitian(rng, dim: int) -> np.ndarray:
 def fabricated_qfim(q: np.ndarray, singular: bool = False) -> QfimResult:
     q = np.asarray(q, dtype=float)
     det = float(q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0])
-    zeros = np.zeros((2, 2), dtype=complex)
-    return QfimResult(qfim=q, determinant=det, sld_1=zeros, sld_2=zeros,
-                      attainability_residual=0.0, singular=singular)
+    return QfimResult(qfim=q, determinant=det, attainability_residual=0.0, singular=singular)
 
 
 def test_derivative_config_validation():
@@ -238,15 +236,32 @@ def test_information_matrix_properties_on_library_setups():
 @pytest.mark.parametrize("setup_id", ["mz2b_2q", "swi3"])
 def test_evaluate_bounds_validates_the_state_once(setup_id, monkeypatch):
     calls = []
-    validate = tensor.validate_density_matrix
+    density_eig = tensor.density_eig
 
     def counting(rho, *args, **kwargs):
         calls.append(rho)
-        return validate(rho, *args, **kwargs)
+        return density_eig(rho, *args, **kwargs)
 
-    monkeypatch.setattr(tensor, "validate_density_matrix", counting)
+    monkeypatch.setattr(tensor, "density_eig", counting)
     evaluate_bounds(make_setup(setup_id), 0.3, 0.7)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("t1, t2", [(0.3, 0.7),
+                                    (np.array([0.2, 0.3, 0.4]), np.array([0.9, 0.5, 0.1]))])
+def test_evaluate_bounds_decomposes_each_state_once(t1, t2, monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(m, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(m)))
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    evaluate_bounds(make_setup("swi2"), t1, t2)
+    # swi2 states are 4x4: one eigh of the whole stack, no eigvalsh
+    assert calls == [("eigh", np.shape(t1) + (4, 4))]
 
 
 def test_evaluate_bounds_rejects_a_non_positive_state():
@@ -254,6 +269,15 @@ def test_evaluate_bounds_rejects_a_non_positive_state():
     bad = np.diag([1.2, -0.2]).astype(complex)
     with pytest.raises(ValidationError, match="negative eigenvalue"):
         evaluate_bounds(lambda t1, t2: bad, 0.3, 0.7)
+
+
+@pytest.mark.parametrize("state, message", [
+    (np.array([[0.5, 0.1], [0.3, 0.5]]), "not Hermitian"),
+    (np.diag([0.6, 0.5]), "trace"),
+])
+def test_evaluate_bounds_rejects_a_non_hermitian_or_off_trace_state(state, message):
+    with pytest.raises(ValidationError, match=message):
+        evaluate_bounds(lambda t1, t2: state, 0.3, 0.7)
 
 
 def test_information_is_stable_under_step_refinement():

@@ -1,5 +1,6 @@
 """Grid sweeps, CSV round trips, heatmap rendering, worker plumbing."""
 import math
+import os
 
 import numpy as np
 import pytest
@@ -189,11 +190,12 @@ def test_pgm_singular_cells_render_white(tmp_path):
 
 def test_resolve_workers_env_cap(monkeypatch):
     monkeypatch.delenv("DUOTHERM_THREADS", raising=False)
-    assert resolve_workers(3) == 3
-    assert resolve_workers(None) >= 1
-    assert resolve_workers(0) >= 1
+    cpus = os.cpu_count() or 1
+    assert resolve_workers(3) == min(3, cpus)
+    assert resolve_workers(None) == cpus
+    assert resolve_workers(0) == cpus
     monkeypatch.setenv("DUOTHERM_THREADS", "2")
-    assert resolve_workers(8) == 2
+    assert resolve_workers(8) == min(2, cpus)
     assert resolve_workers(1) == 1
     monkeypatch.setenv("DUOTHERM_THREADS", "0")
     assert resolve_workers(8) == min(8, resolve_workers(None))
@@ -246,6 +248,42 @@ def test_sweep_records_equal_single_point_evaluations(setup_id, phi, eta, grid_n
         point = SweepRecord(record.t1, record.t2, b.var_t1, b.var_t2, b.cov, b.total_var,
                             info.determinant, info.attainability_residual, info.singular)
         assert repr(record) == repr(point)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ragged_multi_row_blocks_equal_single_point_evaluations(workers, monkeypatch):
+    # a budget of 20 points puts the 7x7 grid in blocks of 2, 2, 2 and 1 rows
+    monkeypatch.setattr(sweep, "_BLOCK_POINTS", 20)
+    spec = SweepSpec("mz2b_2q", grid_n=7, phi=1.1)
+    setup = make_setup("mz2b_2q", phi=1.1)
+    cfg = DerivativeConfig(step=spec.step)
+    records = run_sweep(spec, workers=workers)
+    assert [r.t1 for r in records] == np.repeat(spec.grid(), 7).tolist()
+    assert [r.t2 for r in records] == np.tile(spec.grid(), 7).tolist()
+    for record in records:
+        info, b = evaluate_bounds(setup, record.t1, record.t2, cfg)
+        point = SweepRecord(record.t1, record.t2, b.var_t1, b.var_t2, b.cov, b.total_var,
+                            info.determinant, info.attainability_residual, info.singular)
+        assert repr(record) == repr(point)
+
+
+def test_failure_in_a_later_block_names_its_first_failing_point(monkeypatch):
+    monkeypatch.setattr(sweep, "_BLOCK_POINTS", 20)
+    evaluate = sweep.evaluate_bounds
+    grid = SweepSpec("swi2", grid_n=7).grid()
+
+    def failing(setup, t1, t2, cfg):
+        # rows 4 and 5 make up the third block: row 4 fails at its last
+        # point, row 5 from its third point on
+        t1, t2 = np.asarray(t1), np.asarray(t2)
+        if np.any(((t1 >= grid[5]) & (t2 >= grid[2])) | ((t1 >= grid[4]) & (t2 >= grid[6]))):
+            raise ValidationError("synthetic failure")
+        return evaluate(setup, t1, t2, cfg)
+
+    monkeypatch.setattr(sweep, "evaluate_bounds", failing)
+    with pytest.raises(DuothermError, match="synthetic failure") as info:
+        run_sweep(SweepSpec("swi2", grid_n=7), workers=1)
+    assert f"(t1={grid[4].item()!r}, t2={grid[6].item()!r})" in str(info.value)
 
 
 def test_failed_sweep_names_the_first_failing_point_in_t1_major_order(monkeypatch):

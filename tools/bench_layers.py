@@ -8,13 +8,18 @@ measures every source once, in turn and each in a fresh interpreter:
 * end to end: the nine default sweeps (19,044 grid points) run back to back
   with ``run_sweep`` at 1 worker and at auto workers (``workers=0``);
 * per setup, at 1 worker in one process: building the evaluator (once per
-  sweep), then per grid row the state build with its derivative stencil,
-  density-matrix validation, ``eigh`` with the SLDs, and the QFIM with the
-  bounds, then writing the sweep's CSV and PGM files.  Each layer is given
-  in microseconds per grid point.
+  sweep), then per sweep task (a block of whole grid rows, or one row in a
+  checkout without blocks) the state build with its derivative stencil, the
+  validating eigendecomposition, and the SLDs with the QFIM and the bounds,
+  then the whole sweep, and writing its CSV and PGM files.  Each layer is
+  given in microseconds per grid point.
 
-The JSON file holds, per label, the median over the repeats of every figure,
-the effective worker count and the BLAS library with its thread count.
+In a checkout without ``tensor.density_eig`` the eigendecomposition layer is
+the density-matrix validation plus ``herm_eig``, and the SLD layer reuses
+that decomposition, so the layers split the same pipeline in both.  The
+JSON file holds, per label, the median over the repeats of every figure,
+the rows per task, the effective worker count and the BLAS library with its
+thread count.
 """
 from __future__ import annotations
 
@@ -60,7 +65,7 @@ def measure(src: str) -> dict:
     import numpy as np
 
     import duotherm as dt
-    from duotherm import estimation, tensor
+    from duotherm import estimation, sweep, tensor
     from duotherm.sweep import resolve_workers
 
     end_to_end = {}
@@ -70,40 +75,60 @@ def measure(src: str) -> dict:
             dt.run_sweep(dt.SweepSpec(setup_id), workers=workers)
         end_to_end[name] = time.perf_counter() - start
 
+    if hasattr(tensor, "density_eig"):
+        decompose = tensor.density_eig
+
+        def slds_qfim_bounds(rho, d1, d2, vals, vecs, cfg):
+            slds = estimation._eigenbasis_slds(vals, vecs, d1, d2, cfg)
+            estimation.crb_bounds(estimation.qfim(vals, slds[..., 0, :, :],
+                                                  slds[..., 1, :, :], cfg))
+    else:
+        def decompose(rho):
+            tensor.validate_density_matrix(rho)
+            return tensor.herm_eig(rho)
+
+        def slds_qfim_bounds(rho, d1, d2, vals, vecs, cfg):
+            herm_eig = tensor.herm_eig
+            tensor.herm_eig = lambda m: (vals, vecs)  # sld_operators' own eigh
+            try:
+                l1, l2 = estimation.sld_operators(rho, d1, d2, cfg)
+            finally:
+                tensor.herm_eig = herm_eig
+            estimation.crb_bounds(estimation.qfim(rho, l1, l2, cfg))
+
+    block_rows = getattr(sweep, "_block_rows", lambda grid_n: 1)
     layers = {}
     with tempfile.TemporaryDirectory() as tmp:
         for setup_id in dt.SETUP_IDS:
             spec = dt.SweepSpec(setup_id)
             cfg = dt.DerivativeConfig(step=spec.step)
             grid = spec.grid()
-            spent = dict.fromkeys(("state_build", "validate", "eigh_slds", "qfim_bounds"), 0.0)
+            rows = block_rows(spec.grid_n)
+            spent = dict.fromkeys(("state_build", "eig", "slds_qfim_bounds"), 0.0)
             start = time.perf_counter()
             setup = dt.make_setup(setup_id, phi=spec.phi, eta=spec.eta,
                                   beta_convention=spec.beta_convention)
             setup_build = time.perf_counter() - start
-            for t1 in grid:
+            for first in range(0, spec.grid_n, rows):
+                t1s = np.repeat(grid[first:first + rows], grid.size)
+                t2s = np.tile(grid, t1s.size // grid.size)
                 t0 = time.perf_counter()
-                rho, d1, d2 = estimation.state_and_derivatives(setup, np.full_like(grid, t1),
-                                                               grid, cfg)
+                rho, d1, d2 = estimation.state_and_derivatives(setup, t1s, t2s, cfg)
                 t1_ = time.perf_counter()
-                tensor.validate_density_matrix(rho)
+                vals, vecs = decompose(rho)
                 t2_ = time.perf_counter()
-                l1, l2 = estimation.sld_operators(rho, d1, d2, cfg)
+                slds_qfim_bounds(rho, d1, d2, vals, vecs, cfg)
                 t3_ = time.perf_counter()
-                estimation.crb_bounds(estimation.qfim(rho, l1, l2, cfg))
-                t4_ = time.perf_counter()
                 spent["state_build"] += t1_ - t0
-                spent["validate"] += t2_ - t1_
-                spent["eigh_slds"] += t3_ - t2_
-                spent["qfim_bounds"] += t4_ - t3_
+                spent["eig"] += t2_ - t1_
+                spent["slds_qfim_bounds"] += t3_ - t2_
             start = time.perf_counter()
             records = dt.run_sweep(spec, workers=1)
-            sweep = time.perf_counter() - start
+            spent["sweep"] = time.perf_counter() - start
             start = time.perf_counter()
             dt.emit_csv(records, os.path.join(tmp, f"{setup_id}.csv"))
             dt.emit_pgm_heatmap(records, "total_var", os.path.join(tmp, f"{setup_id}.pgm"))
             spent["emit"] = time.perf_counter() - start
-            spent["sweep"] = sweep
             layers[setup_id] = {k: 1e6 * v / GRID_POINTS for k, v in spent.items()}
             layers[setup_id]["setup_build_us_per_sweep"] = 1e6 * setup_build
 
@@ -111,7 +136,9 @@ def measure(src: str) -> dict:
     return {
         "end_to_end_s": end_to_end,
         "per_setup_us_per_point": layers,
-        "workers": {"auto": auto, "auto_effective": min(auto, 46)},
+        "rows_per_task": block_rows(46),
+        "workers": {"auto": auto,
+                    "auto_effective": min(auto, -(-46 // block_rows(46)))},
         "numpy": np.__version__,
         "blas": blas_info(),
     }
