@@ -11,9 +11,11 @@ the n-level generalization exchanges population between every level pair
 (i, j) with strength gamma_ij.  Both admit a two-qubit purified-bath dilation
 built from ``dilation_unitary``.
 
-A spec's temperature may be an array: it then describes a stack of baths
-that share energies and coupling, and populations, purified baths and Kraus
-sets gain the temperature array's shape as leading axes.
+A spec's temperature may be an array of baths that share energies and
+coupling, whose populations gain the array's shape as leading axes; this is
+how a compiled setup reads its features.  Kraus sets and purified baths are
+built for one temperature.  The compilers use the temperature-free Kraus
+shapes and ``purification``, which takes a batch of amplitude pairs.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ BETA_CONVENTIONS = ("natural", "log2")
 class ThermalBathSpec:
     """Bath parameters; energies default to a unit-gap two-level ladder.
 
-    ``temperature`` is one temperature or an array of them (a stack of baths);
-    every temperature of a stack must be positive.
+    ``temperature`` is one temperature or an array of them, all positive;
+    an array serves the populations only, and the channels take one.
     """
 
     temperature: float | np.ndarray
@@ -71,21 +73,19 @@ class ThermalBathSpec:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A CPTP map as a stack of Kraus operators, shape (n_ops, out_dim, in_dim),
-    or a stack of such maps with leading axes, shape (..., n_ops, out_dim, in_dim).
+    """A CPTP map as a stack of Kraus operators, shape (n_ops, out_dim, in_dim).
 
     Completeness sum_k K_k^dag K_k = 1 is enforced at construction within
-    ``COMPLETENESS_TOL`` for every map of a stack; violations raise with the
-    largest defect.
+    ``COMPLETENESS_TOL``; violations raise with the largest defect.
     """
 
     ops: np.ndarray
 
     def __post_init__(self):
         ops = np.asarray(self.ops, dtype=complex)
-        if ops.ndim < 3 or ops.shape[-3] < 1:
+        if ops.ndim != 3 or ops.shape[0] < 1:
             raise DimensionMismatchError(
-                f"expected a stack of matrices with shape (n, out, in), got {ops.shape}"
+                f"expected one Kraus set of shape (n, out, in), got {ops.shape}"
             )
         object.__setattr__(self, "ops", ops)
         defect = self.completeness_defect()
@@ -96,14 +96,14 @@ class KrausChannel:
 
     @property
     def in_dim(self) -> int:
-        return self.ops.shape[-1]
+        return self.ops.shape[2]
 
     @property
     def out_dim(self) -> int:
-        return self.ops.shape[-2]
+        return self.ops.shape[1]
 
     def completeness_defect(self) -> float:
-        s = np.einsum("...aji,...ajk->...ik", np.conj(self.ops), self.ops)
+        s = np.einsum("aji,ajk->ik", np.conj(self.ops), self.ops)
         return float(np.max(np.abs(s - np.eye(self.in_dim))))
 
 
@@ -145,13 +145,14 @@ def qudit_thermal_kraus(spec: ThermalBathSpec, gamma: np.ndarray | None = None) 
     """n-level thermalization with pairwise exchange strengths gamma_ij.
 
     ``gamma`` must be symmetric with zero diagonal and entries in [0, 1];
-    symmetry is what makes the Kraus set complete.  Default is full exchange
-    (all off-diagonal entries 1).  Operator ordering: the n diagonal operators
-    K_i first, then K_ij for i != j in row-major (i, j) order.
+    symmetry is what makes the Kraus set complete.  Default is the spec's
+    coupling for every pair, ``spec.eta`` off the diagonal.  Operator
+    ordering: the n diagonal operators K_i first, then K_ij for i != j in
+    row-major (i, j) order.
     """
     n = spec.levels
     if gamma is None:
-        gamma = np.ones((n, n)) - np.eye(n)
+        gamma = spec.eta * (np.ones((n, n)) - np.eye(n))
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (n, n):
         raise DimensionMismatchError(f"gamma must be {n}x{n}, got {gamma.shape}")
@@ -182,11 +183,10 @@ def exchange_shapes(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _kraus_operators(populations: np.ndarray, shapes: np.ndarray,
                      level: np.ndarray) -> np.ndarray:
     """Kraus operators sqrt(p_level[a]) * shapes[a] of a thermalizing channel
-    at the populations p (last axis), stacked over the populations' leading
-    axes.  The operators are linear in the amplitudes sqrt(p), so a channel's
-    superoperator is linear in p."""
-    amplitudes = np.sqrt(populations)[..., level]
-    return (amplitudes[..., None, None] * shapes).astype(complex)
+    at the populations p.  The operators are linear in the amplitudes
+    sqrt(p), so a channel's superoperator is linear in p."""
+    amplitudes = np.sqrt(populations)[level]
+    return (amplitudes[:, None, None] * shapes).astype(complex)
 
 
 def purified_bath_state(spec: ThermalBathSpec) -> np.ndarray:

@@ -12,16 +12,16 @@ States are assembled branch-wise: with |v_k> the probe+bath vector of arm k,
 the probe/control blocks are Tr_bath |v_k><v_l| dressed with the arm phase.
 No full-space operator is formed: each 4x4 coupling acts on the qubit tensor
 of an arm vector, and the bath trace contracts the (probe, bath) matrices.
-Tensor order is probe qubits, bath qubits, then control (when kept).  States
-are built for a whole stack of temperature pairs at once.
+Tensor order is probe qubits, bath qubits, then control (when kept).  The
+probe starts in its ground state.
 
 The arm builder takes bath amplitude vectors, and each arm is linear in the
 amplitudes of the baths it touches.  ``mz_coefficients`` is the compiler: it
 runs the arm builder on unit amplitude vectors at the layout's phase and
 coupling strength and returns the temperature-free coefficients of the
 output, so that a setup's states are one feature contraction.
-``mz_output_state`` builds the states from temperatures; it is the oracle
-that the compiled states are checked against.
+``mz_output_state`` builds the state at one temperature pair; it is the
+oracle that the compiled states are checked against.
 """
 
 from __future__ import annotations
@@ -33,11 +33,7 @@ import numpy as np
 
 from . import channels, tensor
 from .channels import ThermalBathSpec
-from .errors import (
-    ConfigurationError,
-    DarkPortError,
-    DimensionMismatchError,
-)
+from .errors import ConfigurationError, DarkPortError
 
 BATH_MODES = ("one_bath", "two_bath")
 ESTIMATION_TARGETS = ("postselected_plus", "probe_plus_control")
@@ -54,8 +50,6 @@ class MzConfig:
     estimation_target: str = "postselected_plus"
     phi: float = math.pi / 2
     eta: float = 1.0
-    initial_internal: tuple[complex, ...] | None = None
-    energies: tuple[float, float] = (0.0, 1.0)
     beta_convention: str = "natural"
 
     def __post_init__(self):
@@ -69,26 +63,10 @@ class MzConfig:
             raise ConfigurationError("probe_plus_control estimation requires probe_qubits=1")
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigurationError(f"eta must lie in [0, 1], got {self.eta!r}")
-        if self.initial_internal is not None:
-            psi = np.asarray(self.initial_internal, dtype=complex)
-            if psi.shape != (self.probe_dim,):
-                raise ConfigurationError(
-                    f"initial_internal must have dimension {self.probe_dim}"
-                )
-            norm = float(np.linalg.norm(psi))
-            if abs(norm - 1.0) > tensor.STATE_NORM_TOL:
-                raise ConfigurationError(
-                    f"initial_internal must be normalized, got norm {norm!r}"
-                )
 
     @property
     def probe_dim(self) -> int:
         return 2**self.probe_qubits
-
-    def initial_state(self) -> np.ndarray:
-        if self.initial_internal is not None:
-            return tensor.validate_pure_state(np.asarray(self.initial_internal, dtype=complex))
-        return tensor.basis_state(self.probe_dim, 0)
 
 
 def _coupling_pairs(cfg: MzConfig) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -129,7 +107,8 @@ def _arm_matrices(cfg: MzConfig, amps1: np.ndarray, amps2: np.ndarray) -> np.nda
     """
     theta1 = channels.purification(amps1)
     theta2 = channels.purification(amps2)
-    psi0 = cfg.initial_state()
+    psi0 = np.zeros(cfg.probe_dim, dtype=complex)
+    psi0[0] = 1.0
     u_t = channels.dilation_unitary(cfg.eta).T
     if cfg.bath_mode == "one_bath":
         bases = (_kron(psi0, theta1), _kron(psi0, theta2))
@@ -154,38 +133,35 @@ def _arm_matrices(cfg: MzConfig, amps1: np.ndarray, amps2: np.ndarray) -> np.nda
     return np.stack(arms, axis=1)
 
 
-def mz_output_state(cfg: MzConfig, t1, t2) -> np.ndarray:
-    """Estimation-ready output states at bath temperatures (t1, t2).
-
-    ``t1`` and ``t2`` are temperatures or equal-shape arrays of them; the
-    result has their shape followed by (d, d), and a single pair is the N = 1
-    case of the stacked build.  Every temperature must be positive, and no
-    state of the stack may sit at a dark port.  This builder is the oracle
-    that the compiled setups (``mz_coefficients``) are checked against.
+def mz_output_state(cfg: MzConfig, t1: float, t2: float) -> np.ndarray:
+    """Estimation-ready output state at the bath temperatures (t1, t2), both
+    positive.  This builder is the oracle that the compiled setups
+    (``mz_coefficients``) are checked against.
 
     ``postselected_plus``: normalized probe state conditioned on the control
-    measuring in (|c1> + |c2>)/sqrt(2) after the arm phase.
+    measuring in (|c1> + |c2>)/sqrt(2) after the arm phase; raises
+    ``DarkPortError`` when that outcome's probability is below
+    ``DARK_PORT_TOL``.
     ``probe_plus_control``: probe (x) control joint state, control last.
     """
-    t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
     amps = [np.sqrt(channels.gibbs_probabilities(
-        ThermalBathSpec(t.reshape(-1), cfg.energies, cfg.eta, cfg.beta_convention)))
-        for t in (t1, t2)]
-    arms = _arm_matrices(cfg, *amps)
+        ThermalBathSpec(t, beta_convention=cfg.beta_convention)))[None] for t in (t1, t2)]
+    arms = _arm_matrices(cfg, *amps)[0]
     d = cfg.probe_dim
-    # blocks[n, i, k, j, l] = (Tr_bath |v_k><v_l|)[i, j], i.e. probe then control
-    blocks = np.einsum("nkib,nljb->nikjl", arms, arms.conj())
+    # blocks[i, k, j, l] = (Tr_bath |v_k><v_l|)[i, j], i.e. probe then control
+    blocks = np.einsum("kib,ljb->ikjl", arms, arms.conj())
     phase = np.exp(1j * cfg.phi)
     dress = 0.5 * np.array([[1.0, phase], [np.conj(phase), 1.0]])
-    joint = (blocks * dress[:, None, :]).reshape(-1, 2 * d, 2 * d)
-    joint = (joint + tensor.dagger(joint)) / 2.0
+    joint = blocks * dress[:, None, :]
     if cfg.estimation_target == "probe_plus_control":
-        state = joint / np.trace(joint, axis1=-2, axis2=-1).real[:, None, None]
-    else:
-        state, prob = postselect_control(joint, (d, 2), 1, sign=+1, phi=0.0)
-        if state is None:
-            raise DarkPortError(f"post-selected + branch has probability {np.min(prob):.3e}")
-    return state.reshape(t1.shape + state.shape[1:])
+        joint = joint.reshape(2 * d, 2 * d)
+        return (joint + tensor.dagger(joint)) / (2.0 * np.trace(joint).real)
+    # <+|joint|+> on the control: half the sum of the four control blocks
+    plus = 0.5 * joint.sum(axis=(1, 3))
+    prob = np.trace(plus).real
+    if prob < DARK_PORT_TOL:
+        raise DarkPortError(f"post-selected + branch has probability {max(prob, 0.0):.3e}")
+    return (plus + tensor.dagger(plus)) / (2.0 * prob)
 
 
 #: Monomials of one bath's amplitudes u = (sqrt p0, sqrt p1) up to degree two,
@@ -266,54 +242,3 @@ def mz_coefficients(cfg: MzConfig) -> np.ndarray:
     out = np.zeros((m, m) + r.shape[2:], dtype=complex)
     np.add.at(out, _TERM_MONOMIALS[cfg.bath_mode], r)
     return out
-
-
-def postselect_control(
-    joint: np.ndarray,
-    dims,
-    control_index: int,
-    sign: int = +1,
-    phi: float = 0.0,
-) -> tuple[np.ndarray | None, float]:
-    """Project the control factor of ``joint`` onto (e^{i phi}|c1> +/- |c2>)/sqrt(2).
-
-    The phase dresses the first control branch, so passing the interferometer
-    phase here is equivalent to building the joint state with it.  Returns the
-    normalized conditional state on the remaining factors together with the
-    outcome probability; the state is None when the branch is dark
-    (probability below ``DARK_PORT_TOL``).  A stack of joint states, shape
-    (..., dim, dim), gives a stack of states and probabilities, and the state
-    is None when any of them is dark.
-    """
-    joint = tensor.as_complex(joint)
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
-    if not 0 <= control_index < n:
-        raise ConfigurationError(f"control_index {control_index} outside factor range")
-    if dims[control_index] != 2:
-        raise ConfigurationError("the control factor must be two-dimensional")
-    if sign not in (+1, -1):
-        raise ConfigurationError("sign must be +1 or -1")
-    total = int(np.prod(dims))
-    if joint.ndim < 2 or joint.shape[-2:] != (total, total):
-        raise DimensionMismatchError(f"joint shape {joint.shape} does not match dims {dims}")
-    u = _control_vector(sign, phi)
-    batch = joint.shape[:-2]
-    row = len(batch) + control_index
-    t = np.moveaxis(joint.reshape(batch + dims + dims), (row, row + n), (-2, -1))
-    # An einsum, not a BLAS product: on a stack, the BLAS call would be
-    # large enough to start OpenBLAS's helper threads.
-    reduced = np.einsum("...ab,ab->...", t, np.outer(u.conj(), u))
-    rest_dim = total // 2
-    reduced = reduced.reshape(batch + (rest_dim, rest_dim))
-    prob = np.trace(reduced, axis1=-2, axis2=-1).real
-    if (prob < DARK_PORT_TOL).any():
-        return None, np.maximum(prob, 0.0)
-    state = (reduced + tensor.dagger(reduced)) / (2.0 * prob[..., None, None])
-    return state, prob
-
-
-def _control_vector(sign: int, phi: float) -> np.ndarray:
-    # Projecting the phased state onto |+/-> equals projecting the raw state
-    # onto the back-rotated vector u = (e^{-i phi}, +/-1)/sqrt(2).
-    return np.array([np.exp(-1j * phi), float(sign)], dtype=complex) / math.sqrt(2.0)

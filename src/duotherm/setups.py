@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -195,6 +196,8 @@ def compile_setup(setup_id: str, phi: float = math.pi / 2, eta: float = 1.0) -> 
     amplitude or population inputs at phi and eta.  The beta convention
     enters only the features."""
     check_setup_id(setup_id)
+    if not math.isfinite(phi):
+        raise ConfigurationError(f"phi must be finite, got {phi!r}")
     if not 0.0 <= eta <= 1.0:
         raise ConfigurationError(f"eta must lie in [0, 1], got {eta!r}")
     if setup_id in _SWITCH_DIM:
@@ -236,13 +239,18 @@ class SetupEvaluator:
         return out.reshape(t1s.shape + out.shape[1:])
 
     def builder_states(self, t1s, t2s) -> np.ndarray:
-        """The same states from the temperature-taking builders: the oracle
-        of the compiled contraction."""
+        """The same states from the temperature-taking builders, one pair at
+        a time: the oracle of the compiled contraction."""
+        t1s, t2s = np.broadcast_arrays(np.asarray(t1s, dtype=float),
+                                       np.asarray(t2s, dtype=float))
         if self.setup_id in _SWITCH_DIM:
-            return switch_output_state(_SWITCH_DIM[self.setup_id], t1s, t2s, eta=self.eta,
-                                       beta_convention=self.beta_convention)
-        cfg = _mz_config(self.setup_id, self.phi, self.eta, self.beta_convention)
-        return mz_output_state(cfg, t1s, t2s)
+            build = partial(switch_output_state, _SWITCH_DIM[self.setup_id], eta=self.eta,
+                            beta_convention=self.beta_convention)
+        else:
+            build = partial(mz_output_state, _mz_config(self.setup_id, self.phi, self.eta,
+                                                        self.beta_convention))
+        states = [build(t1, t2) for t1, t2 in zip(t1s.flat, t2s.flat)]
+        return np.reshape(states, t1s.shape + states[0].shape)
 
 
 def make_setup(

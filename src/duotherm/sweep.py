@@ -16,6 +16,7 @@ are byte-identical across runs and worker counts.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -61,6 +62,13 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         check_setup_id(self.setup_id)
+        for name in ("t_min", "t_max", "phi", "eta", "step"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ConfigurationError(f"{name} must be a finite real number, got {value!r}")
+        if isinstance(self.grid_n, bool) or not isinstance(self.grid_n, numbers.Integral):
+            raise ConfigurationError(f"grid_n must be an integer, got {self.grid_n!r}")
         if not (0.0 < self.t_min < self.t_max):
             raise ConfigurationError(
                 f"need 0 < t_min < t_max, got ({self.t_min!r}, {self.t_max!r})"

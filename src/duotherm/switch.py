@@ -23,9 +23,9 @@ shape, so the thermal switch's output is bilinear in the populations
 p(t1) (x) p(t2).  ``switch_coefficients`` is the compiler: it builds the d
 unit-population channels once and combines their superoperators into the
 temperature-free coefficient tensor, from which a setup's states are one
-feature contraction.  ``switch_output_state`` builds the states from
-temperatures through the Kraus route; it is the oracle that the compiled
-states are checked against.
+feature contraction.  ``switch_output_state`` builds the state at one
+temperature pair through the Kraus route; it is the oracle that the
+compiled states are checked against.
 """
 
 from __future__ import annotations
@@ -100,11 +100,7 @@ class ProcessMatrix:
 
 
 def switch_kraus_output(cfg: SwitchConfig, rho_in: np.ndarray) -> np.ndarray:
-    """Apply the controlled-order map to rho_in (x) |control><control|.
-
-    Stacked channels, Kraus sets of shape (..., n, d, d), give a stack of
-    outputs of shape (..., 2d, 2d).
-    """
+    """Apply the controlled-order map to rho_in (x) |control><control|."""
     d = cfg.target_dim
     rho_in = tensor.as_complex(rho_in)
     if rho_in.shape != (d, d):
@@ -215,76 +211,35 @@ def switch_process_output(cfg: SwitchConfig, rho_in: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def thermal_switch_config(
-    target_dim: int,
-    t1,
-    t2,
-    eta: float = 1.0,
-    beta_convention: str = "natural",
-    energies: tuple[float, ...] | None = None,
-    control_state: tuple[complex, ...] | None = None,
-) -> SwitchConfig:
-    """Switch over two thermalizing channels at temperatures (t1, t2).
+def thermal_switch_config(target_dim: int, t1: float, t2: float, eta: float = 1.0,
+                          beta_convention: str = "natural") -> SwitchConfig:
+    """Switch over two thermalizing channels at temperatures (t1, t2) on the
+    linear ladder 0, 1, ..., target_dim - 1, with the control in |+>.
 
     Channel A (outermost for control |0>) carries t1.  Dimension 2 uses the
     GADC; higher dimensions use the pairwise-exchange channel with uniform
-    strength eta (default full thermalization).  Default energies are the
-    linear ladder 0, 1, ..., target_dim - 1.  ``t1`` and ``t2`` may be
-    equal-shape arrays; the channels are then stacks with that shape as
-    leading axes.
+    strength eta (default full thermalization).
     """
-    if target_dim == 2 and energies is None:
-        energies = (0.0, 1.0)
-    elif energies is None:
-        energies = tuple(float(x) for x in range(target_dim))
-    if len(energies) != target_dim:
-        raise ConfigurationError(
-            f"expected {target_dim} energies, got {len(energies)}"
-        )
-    spec1 = ThermalBathSpec(t1, energies, eta, beta_convention)
-    spec2 = ThermalBathSpec(t2, energies, eta, beta_convention)
-    if target_dim == 2:
-        ch1, ch2 = channels.gadc_kraus(spec1), channels.gadc_kraus(spec2)
-    else:
-        gamma = eta * (np.ones((target_dim, target_dim)) - np.eye(target_dim))
-        ch1 = channels.qudit_thermal_kraus(spec1, gamma)
-        ch2 = channels.qudit_thermal_kraus(spec2, gamma)
-    if control_state is None:
-        return SwitchConfig(channel_a=ch1, channel_b=ch2)
-    return SwitchConfig(channel_a=ch1, channel_b=ch2, control_state=control_state)
+    energies = tuple(range(target_dim))
+    build = channels.gadc_kraus if target_dim == 2 else channels.qudit_thermal_kraus
+    return SwitchConfig(build(ThermalBathSpec(t1, energies, eta, beta_convention)),
+                        build(ThermalBathSpec(t2, energies, eta, beta_convention)))
 
 
-def switch_output_state(
-    target_dim: int,
-    t1,
-    t2,
-    eta: float = 1.0,
-    beta_convention: str = "natural",
-    energies: tuple[float, ...] | None = None,
-    control_state: tuple[complex, ...] | None = None,
-) -> np.ndarray:
-    """Switch output for thermal channels on the ground-state target.
-
-    ``t1`` and ``t2`` are temperatures or equal-shape arrays of them; the
-    result has their shape followed by (2d, 2d), and a single pair is the
-    N = 1 case of the stacked build.  Defaults realize full-strength
-    thermalization (eta = 1) with the control in |+>; the estimation-ready
-    state lives on target (x) control.
-    """
-    t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
-    cfg = thermal_switch_config(
-        target_dim, t1.reshape(-1), t2.reshape(-1), eta=eta,
-        beta_convention=beta_convention, energies=energies, control_state=control_state,
-    )
+def switch_output_state(target_dim: int, t1: float, t2: float, eta: float = 1.0,
+                        beta_convention: str = "natural") -> np.ndarray:
+    """Switch output of ``thermal_switch_config`` on the ground-state target,
+    a (2d, 2d) state on target (x) control: the oracle of the compiled
+    switch setups."""
     rho_in = np.zeros((target_dim, target_dim), dtype=complex)
     rho_in[0, 0] = 1.0
-    out = switch_kraus_output(cfg, rho_in)
-    return out.reshape(t1.shape + out.shape[1:])
+    return switch_kraus_output(thermal_switch_config(target_dim, t1, t2, eta, beta_convention),
+                               rho_in)
 
 
 def switch_coefficients(target_dim: int, eta: float = 1.0) -> np.ndarray:
     """Temperature-free coefficient tensor M, shape (d, d, 2d, 2d), of the
-    default thermal switch: ``switch_output_state`` at (t1, t2) is
+    thermal switch: ``switch_output_state`` at (t1, t2) is
     sum_ij p_i(t1) p_j(t2) M[i, j], with p the Gibbs populations.
 
     Every Kraus operator is sqrt(p_i) times a fixed shape, so each channel's

@@ -36,14 +36,6 @@ def as_complex(m) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
-def basis_state(dim: int, index: int) -> np.ndarray:
-    if not 0 <= index < dim:
-        raise DimensionMismatchError(f"basis index {index} outside dimension {dim}")
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
     return np.conj(np.swapaxes(np.asarray(m), -1, -2))
@@ -151,14 +143,6 @@ def embed_operator(op, dims: Sequence[int], targets: Sequence[int]) -> np.ndarra
     total = int(np.prod(dims))
     t = big.reshape(cur + cur).transpose(perm + [p + n for p in perm])
     return t.reshape(total, total)
-
-
-def validate_pure_state(psi, tol: float = STATE_NORM_TOL) -> np.ndarray:
-    psi = as_complex(psi).reshape(-1)
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > tol:
-        raise ValidationError(f"state norm {norm!r} deviates from 1 by more than {tol:.1e}")
-    return psi
 
 
 def density_eig(

@@ -68,10 +68,10 @@ def check_tensor_eig_reconstruction(rng: np.random.Generator, defective: bool = 
 def check_channel_completeness(rng: np.random.Generator, defective: bool = False) -> str:
     for t in _random_temps(rng, 4):
         spec = channels.ThermalBathSpec(temperature=t, eta=float(rng.uniform(0.2, 1.0)))
-        stacked = np.asarray(channels.gadc_kraus(spec).ops)
+        ops = channels.gadc_kraus(spec).ops
         if defective:
-            stacked = stacked * 1.01
-        gram = np.einsum("aji,ajk->ik", stacked.conj(), stacked)
+            ops = ops * 1.01
+        gram = np.einsum("aji,ajk->ik", ops.conj(), ops)
         defect = float(np.max(np.abs(gram - np.eye(2))))
         assert defect < 1e-10, f"completeness defect {defect:.2e}"
     return "gadc over 4 random specs"
@@ -108,19 +108,20 @@ def check_channel_dilation(rng: np.random.Generator, defective: bool = False) ->
 
 
 def check_mz_state_validity(rng: np.random.Generator, defective: bool = False) -> str:
-    t1s = np.array(_random_temps(rng, 4))
-    t2s = np.array(_random_temps(rng, 4))
+    t1s = _random_temps(rng, 4)
+    t2s = _random_temps(rng, 4)
     phi = float(rng.uniform(0.0, math.pi))
     combos = [("one_bath", 1, "postselected_plus"), ("one_bath", 2, "postselected_plus"),
               ("two_bath", 1, "probe_plus_control"), ("two_bath", 2, "postselected_plus")]
     for bath_mode, qubits, target in combos:
         cfg = MzConfig(bath_mode=bath_mode, probe_qubits=qubits,
                        estimation_target=target, phi=phi)
-        states = mz_output_state(cfg, t1s, t2s)
-        if defective:
-            states = states * 1.01
-        tensor.validate_density_matrix(states)  # every slice of the stack
-    return f"4 layouts at phi={phi:.3f}, a stack of {t1s.size} temperature pairs each"
+        for t1, t2 in zip(t1s, t2s):
+            state = mz_output_state(cfg, t1, t2)
+            if defective:
+                state = state * 1.01
+            tensor.validate_density_matrix(state)
+    return f"4 layouts at phi={phi:.3f}, {len(t1s)} temperature pairs each"
 
 
 def check_mz_swap_symmetry(rng: np.random.Generator, defective: bool = False) -> str:
@@ -174,9 +175,9 @@ def check_compiled_state_agreement(rng: np.random.Generator, defective: bool = F
 
 
 def check_switch_route_equivalence(rng: np.random.Generator, defective: bool = False) -> str:
-    """The Kraus route on a random input, and the production stacked thermal
-    builder on its ground-state input with the control in |+>, against the
-    process-matrix route."""
+    """The Kraus route on a random input, and the thermal builder on its
+    ground-state input with the control in |+>, against the process-matrix
+    route."""
     t1, t2 = _random_temps(rng)
     dim = int(rng.integers(2, 4))
     shift = 1.1 if defective else 1.0
@@ -186,18 +187,16 @@ def check_switch_route_equivalence(rng: np.random.Generator, defective: bool = F
     cfg_clean = thermal_switch_config(dim, t1, t2)
     via_process = switch_process_output(cfg_clean, rho)
     err = float(np.max(np.abs(via_kraus - via_process)))
-    t1s = np.array(_random_temps(rng, 3))
-    t2s = np.array(_random_temps(rng, 3))
-    built = switch_output_state(dim, t1s, t2s * shift)
     ground = np.zeros((dim, dim), dtype=complex)
     ground[0, 0] = 1.0
-    stacked = max(
-        float(np.max(np.abs(state - switch_process_output(thermal_switch_config(dim, a, b), ground))))
-        for state, a, b in zip(built, t1s, t2s)
+    built = max(
+        float(np.max(np.abs(switch_output_state(dim, a, b * shift)
+                            - switch_process_output(thermal_switch_config(dim, a, b), ground))))
+        for a, b in zip(_random_temps(rng, 3), _random_temps(rng, 3))
     )
     assert err < 1e-10, f"kraus vs process routes differ by {err:.2e}"
-    assert stacked < 1e-10, f"stacked builder vs process route differ by {stacked:.2e}"
-    return f"d={dim}, route difference {err:.2e}, stacked builder {stacked:.2e}"
+    assert built < 1e-10, f"thermal builder vs process route differ by {built:.2e}"
+    return f"d={dim}, route difference {err:.2e}, thermal builder {built:.2e}"
 
 
 def check_switch_choi_cptp(rng: np.random.Generator, defective: bool = False) -> str:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from duotherm import channels, tensor
 from duotherm.channels import KrausChannel, ThermalBathSpec
 from duotherm.errors import (ChannelConstructionError, ConfigurationError,
-                             ValidationError)
+                             DimensionMismatchError, ValidationError)
 
 RNG = np.random.default_rng(20240818)
 
@@ -113,18 +113,13 @@ def test_kraus_channel_rejects_incomplete_sets():
 
 
 @pytest.mark.parametrize("levels", [2, 4])
-def test_stacked_kraus_sets_match_single_builds_and_are_all_checked(levels):
-    temps = (0.2, 0.5, 0.9)
+def test_stacked_kraus_sets_are_rejected(levels):
+    # a channel is one Kraus set; a stack of sets (m, n, d, d) is refused
     energies = tuple(float(x) for x in range(levels))
     build = channels.gadc_kraus if levels == 2 else channels.qudit_thermal_kraus
-    stacked = build(ThermalBathSpec(np.array(temps), energies, eta=0.6))
-    assert stacked.ops.shape[0] == 3
-    for ops, t in zip(stacked.ops, temps):
-        assert ops.tobytes() == build(ThermalBathSpec(t, energies, eta=0.6)).ops.tobytes()
-    bad = stacked.ops.copy()
-    bad[1] *= 1.01
-    with pytest.raises(ChannelConstructionError):
-        KrausChannel(bad)
+    ops = np.stack([build(ThermalBathSpec(t, energies, eta=0.6)).ops for t in (0.2, 0.5, 0.9)])
+    with pytest.raises(DimensionMismatchError):
+        KrausChannel(ops)
 
 
 def test_qudit_two_level_case_matches_gadc():
@@ -159,6 +154,17 @@ def test_qudit_zero_gamma_against_kraus_sum_oracle():
     # with no exchange each surviving operator is sqrt(p_i) times the
     # identity, so the channel reduces to the identity map
     np.testing.assert_allclose(out, rho, atol=1e-13)
+
+
+def test_qudit_default_exchange_follows_the_spec_coupling():
+    energies = (0.0, 1.0, 2.0)
+    excited = np.diag([0.0, 0.0, 1.0]).astype(complex)
+    # eta = 0 couples nothing: the excited qutrit comes out unchanged
+    idle = channels.qudit_thermal_kraus(ThermalBathSpec(0.4, energies, eta=0.0))
+    np.testing.assert_allclose(channels.apply_channel(idle, excited), excited, atol=1e-15)
+    spec = ThermalBathSpec(0.4, energies, eta=0.3)
+    explicit = channels.qudit_thermal_kraus(spec, 0.3 * (np.ones((3, 3)) - np.eye(3)))
+    assert channels.qudit_thermal_kraus(spec).ops.tobytes() == explicit.ops.tobytes()
 
 
 def test_qudit_gamma_validation():

@@ -125,6 +125,22 @@ def test_unknown_config_key_is_a_configuration_error(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [("grid_n", 2.5), ("t_min", "0.1"), ("step", "1e-5"),
+                                         ("eta", None), ("phi", "x")])
+def test_malformed_config_value_is_a_configuration_error(tmp_path, capsys, field, value):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"setup_id": "swi2", "grid_n": 2, field: value}))
+    code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {field} must be")
+
+
+def test_non_finite_phase_is_a_configuration_error(capsys):
+    code = main(["bounds", "--setup", "mz2b_2q", "--t1", "0.3", "--t2", "0.7", "--phi", "nan"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error: phi must be finite")
+
+
 def test_non_object_config_is_a_configuration_error(tmp_path):
     config = tmp_path / "list.json"
     config.write_text("[1, 2]")

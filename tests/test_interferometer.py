@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 from duotherm import channels, tensor
 from duotherm.channels import ThermalBathSpec
 from duotherm.errors import ConfigurationError, DarkPortError
-from duotherm.interferometer import (MzConfig, _coupling_pairs, mz_output_state,
-                                     postselect_control)
-
-RNG = np.random.default_rng(20240819)
+from duotherm.interferometer import MzConfig, _coupling_pairs, mz_output_state
 
 temps = st.floats(min_value=0.1, max_value=1.0)
 
@@ -33,8 +30,6 @@ def test_config_validation():
                  estimation_target="probe_plus_control")
     with pytest.raises(ConfigurationError):
         MzConfig(bath_mode="one_bath", eta=-0.1)
-    with pytest.raises(ConfigurationError):
-        MzConfig(bath_mode="one_bath", initial_internal=(1.0, 1.0))
     with pytest.raises(ConfigurationError):
         cfg = MzConfig(bath_mode="one_bath")
         mz_output_state(cfg, -0.5, 0.5)
@@ -58,17 +53,22 @@ def test_equal_temperature_two_bath_collapses_to_gibbs_at_default_phase():
 
 
 def test_dark_minus_port_for_identical_arms():
-    # phi = 0, equal temperatures, one bath: the arms are indistinguishable
-    # and the minus port is fully dark
+    # phi = 0, equal temperatures, one bath: the arms are indistinguishable,
+    # so the plus port carries the whole thermal state and the minus port is
+    # fully dark.  A phase of pi on the first arm swaps the two ports, so
+    # the plus port is then dark.
     cfg = MzConfig(bath_mode="one_bath", probe_qubits=1,
                    estimation_target="probe_plus_control", phi=0.0)
-    joint = mz_output_state(cfg, 0.4, 0.4)
-    state_minus, p_minus = postselect_control(joint, (2, 2), 1, sign=-1)
-    state_plus, p_plus = postselect_control(joint, (2, 2), 1, sign=+1)
-    assert state_minus is None
-    assert p_minus < 1e-12
-    assert abs(p_plus - 1.0) < 1e-12
-    np.testing.assert_allclose(state_plus, gibbs_diag(0.4), atol=1e-12)
+    joint = mz_output_state(cfg, 0.4, 0.4).reshape(2, 2, 2, 2)
+    plus = 0.5 * joint.sum(axis=(1, 3))
+    minus = 0.5 * (joint[:, 0, :, 0] + joint[:, 1, :, 1] - joint[:, 0, :, 1] - joint[:, 1, :, 0])
+    assert abs(np.trace(plus) - 1.0) < 1e-12
+    assert abs(np.trace(minus)) < 1e-12
+    np.testing.assert_allclose(plus, gibbs_diag(0.4), atol=1e-12)
+    dark = MzConfig(bath_mode="one_bath", probe_qubits=1,
+                    estimation_target="postselected_plus", phi=math.pi)
+    with pytest.raises(DarkPortError, match="post-selected"):
+        mz_output_state(dark, 0.4, 0.4)
 
 
 def _oracle_two_bath_single_qubit(phi: float, t1: float, t2: float):
@@ -127,8 +127,8 @@ def _dense_reference(cfg: MzConfig, t1: float, t2: float) -> np.ndarray:
     dense unitary on the whole arm space, every bath trace taken of a dense
     outer product."""
     thetas = [channels.purified_bath_state(
-        ThermalBathSpec(t, cfg.energies, cfg.eta, cfg.beta_convention)) for t in (t1, t2)]
-    psi0 = cfg.initial_state()
+        ThermalBathSpec(t, eta=cfg.eta, beta_convention=cfg.beta_convention)) for t in (t1, t2)]
+    psi0 = np.eye(cfg.probe_dim)[0]
     if cfg.bath_mode == "one_bath":
         bases = [tensor.kron(psi0, thetas[0]), tensor.kron(psi0, thetas[1])]
     else:
@@ -167,41 +167,22 @@ def test_contraction_matches_the_dense_operator_reference(bath_mode, qubits, tar
         eta = float(rng.uniform(0.0, 1.0))
         cfg = MzConfig(bath_mode=bath_mode, probe_qubits=qubits,
                        estimation_target=target, phi=phi, eta=eta)
-        states = mz_output_state(cfg, t1s, t2s)
-        assert states.shape == (4,) + _dense_reference(cfg, t1s[0], t2s[0]).shape
-        for state, t1, t2 in zip(states, t1s, t2s):
-            np.testing.assert_allclose(state, _dense_reference(cfg, t1, t2),
-                                       rtol=0, atol=1e-13)
+        for t1, t2 in zip(t1s, t2s):
+            np.testing.assert_allclose(mz_output_state(cfg, t1, t2),
+                                       _dense_reference(cfg, t1, t2), rtol=0, atol=1e-13)
 
 
 def test_postselect_uncorrelated_plus_control():
-    probe = tensor.random_density_matrix(RNG, 2)
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    joint = tensor.kron(probe, plus)
-    state, prob = postselect_control(joint, (2, 2), 1, sign=+1, phi=0.0)
-    assert abs(prob - 1.0) < 1e-12
-    np.testing.assert_allclose(state, probe, atol=1e-12)
-    state_minus, p_minus = postselect_control(joint, (2, 2), 1, sign=-1, phi=0.0)
-    assert state_minus is None and p_minus < 1e-12
-
-
-@given(phi=st.floats(min_value=0.0, max_value=2.0 * math.pi), seed=st.integers(0, 2**16))
-@settings(max_examples=25, deadline=None)
-def test_postselect_probabilities_sum_to_one(phi, seed):
-    joint = tensor.random_density_matrix(np.random.default_rng(seed), 8)
-    _, p_plus = postselect_control(joint, (2, 2, 2), 1, sign=+1, phi=phi)
-    _, p_minus = postselect_control(joint, (2, 2, 2), 1, sign=-1, phi=phi)
-    assert abs(p_plus + p_minus - 1.0) < 1e-10
-
-
-def test_postselect_validation():
-    joint = tensor.random_density_matrix(RNG, 4)
-    with pytest.raises(ConfigurationError):
-        postselect_control(joint, (2, 2), 5, sign=+1)
-    with pytest.raises(ConfigurationError):
-        postselect_control(joint, (4,), 0, sign=+1)
-    with pytest.raises(ConfigurationError):
-        postselect_control(joint, (2, 2), 1, sign=0)
+    # with two baths at eta = 0 both arms carry the same probe+bath vector,
+    # so the control stays in a pure product with the probe: the joint state
+    # is |0><0| (x) |+><+| at phi = 0, and the plus port returns the probe's
+    # ground state
+    ground = np.diag([1.0, 0.0])
+    joint = mz_output_state(MzConfig(bath_mode="two_bath", estimation_target="probe_plus_control",
+                                     phi=0.0, eta=0.0), 0.3, 0.8)
+    np.testing.assert_allclose(joint, tensor.kron(ground, np.full((2, 2), 0.5)), atol=1e-15)
+    plus = mz_output_state(MzConfig(bath_mode="two_bath", phi=0.0, eta=0.0), 0.3, 0.8)
+    np.testing.assert_allclose(plus, ground, atol=1e-15)
 
 
 def test_postselected_plus_equals_four_term_expansion():
@@ -278,14 +259,3 @@ def test_outputs_are_valid_density_matrices(bath_mode, qubits, target):
                     assert phi == math.pi and t1 == t2
                     continue
                 tensor.validate_density_matrix(rho)
-
-
-def test_custom_initial_state_is_respected():
-    amp = 1.0 / math.sqrt(2.0)
-    cfg = MzConfig(bath_mode="one_bath", probe_qubits=1,
-                   estimation_target="postselected_plus", phi=0.0, eta=0.0,
-                   initial_internal=(amp, amp))
-    # eta = 0 leaves the probe untouched; both arms carry the plus state
-    rho = mz_output_state(cfg, 0.5, 0.5)
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    np.testing.assert_allclose(rho, plus, atol=1e-12)

@@ -195,14 +195,6 @@ def test_stacks_are_decomposed_and_validated_matrix_by_matrix():
         tensor.validate_density_matrix(bad)
 
 
-def test_validate_pure_state_norm_gate():
-    v = RNG.normal(size=4) + 1j * RNG.normal(size=4)
-    v = v / np.linalg.norm(v)
-    tensor.validate_pure_state(v)
-    with pytest.raises(ValidationError):
-        tensor.validate_pure_state(v * 1.001)
-
-
 @given(dim=st.sampled_from([2, 3, 4, 6]))
 @settings(max_examples=15, deadline=None)
 def test_random_density_matrix_is_a_state(dim):

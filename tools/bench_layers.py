@@ -8,18 +8,16 @@ measures every source once, in turn and each in a fresh interpreter:
 * end to end: the nine default sweeps (19,044 grid points) run back to back
   with ``run_sweep`` at 1 worker and at auto workers (``workers=0``);
 * per setup, at 1 worker in one process: building the evaluator (once per
-  sweep), then per sweep task (a block of whole grid rows, or one row in a
-  checkout without blocks) the state build with its derivative stencil, the
-  validating eigendecomposition, and the SLDs with the QFIM and the bounds,
-  then the whole sweep, and writing its CSV and PGM files.  Each layer is
-  given in microseconds per grid point.
+  sweep), then per sweep task (a block of whole grid rows) the state build
+  with its derivative stencil, the validating eigendecomposition
+  (``tensor.density_eig``), and the SLDs with the QFIM and the bounds, then
+  the whole sweep, and writing its CSV and PGM files.  Each layer is given
+  in microseconds per grid point.
 
-In a checkout without ``tensor.density_eig`` the eigendecomposition layer is
-the density-matrix validation plus ``herm_eig``, and the SLD layer reuses
-that decomposition, so the layers split the same pipeline in both.  The
-JSON file holds, per label, the median over the repeats of every figure,
-the rows per task, the effective worker count and the BLAS library with its
-thread count.
+Every checkout must provide ``tensor.density_eig`` and
+``sweep._block_rows``.  The JSON file holds, per label, the median over the
+repeats of every figure, the rows per task, the effective worker count and
+the BLAS library with its thread count.
 """
 from __future__ import annotations
 
@@ -75,35 +73,13 @@ def measure(src: str) -> dict:
             dt.run_sweep(dt.SweepSpec(setup_id), workers=workers)
         end_to_end[name] = time.perf_counter() - start
 
-    if hasattr(tensor, "density_eig"):
-        decompose = tensor.density_eig
-
-        def slds_qfim_bounds(rho, d1, d2, vals, vecs, cfg):
-            slds = estimation._eigenbasis_slds(vals, vecs, d1, d2, cfg)
-            estimation.crb_bounds(estimation.qfim(vals, slds[..., 0, :, :],
-                                                  slds[..., 1, :, :], cfg))
-    else:
-        def decompose(rho):
-            tensor.validate_density_matrix(rho)
-            return tensor.herm_eig(rho)
-
-        def slds_qfim_bounds(rho, d1, d2, vals, vecs, cfg):
-            herm_eig = tensor.herm_eig
-            tensor.herm_eig = lambda m: (vals, vecs)  # sld_operators' own eigh
-            try:
-                l1, l2 = estimation.sld_operators(rho, d1, d2, cfg)
-            finally:
-                tensor.herm_eig = herm_eig
-            estimation.crb_bounds(estimation.qfim(rho, l1, l2, cfg))
-
-    block_rows = getattr(sweep, "_block_rows", lambda grid_n: 1)
     layers = {}
     with tempfile.TemporaryDirectory() as tmp:
         for setup_id in dt.SETUP_IDS:
             spec = dt.SweepSpec(setup_id)
             cfg = dt.DerivativeConfig(step=spec.step)
             grid = spec.grid()
-            rows = block_rows(spec.grid_n)
+            rows = sweep._block_rows(spec.grid_n)
             spent = dict.fromkeys(("state_build", "eig", "slds_qfim_bounds"), 0.0)
             start = time.perf_counter()
             setup = dt.make_setup(setup_id, phi=spec.phi, eta=spec.eta,
@@ -115,9 +91,11 @@ def measure(src: str) -> dict:
                 t0 = time.perf_counter()
                 rho, d1, d2 = estimation.state_and_derivatives(setup, t1s, t2s, cfg)
                 t1_ = time.perf_counter()
-                vals, vecs = decompose(rho)
+                vals, vecs = tensor.density_eig(rho)
                 t2_ = time.perf_counter()
-                slds_qfim_bounds(rho, d1, d2, vals, vecs, cfg)
+                slds = estimation._eigenbasis_slds(vals, vecs, d1, d2, cfg)
+                estimation.crb_bounds(estimation.qfim(vals, slds[..., 0, :, :],
+                                                      slds[..., 1, :, :], cfg))
                 t3_ = time.perf_counter()
                 spent["state_build"] += t1_ - t0
                 spent["eig"] += t2_ - t1_
@@ -136,9 +114,9 @@ def measure(src: str) -> dict:
     return {
         "end_to_end_s": end_to_end,
         "per_setup_us_per_point": layers,
-        "rows_per_task": block_rows(46),
+        "rows_per_task": sweep._block_rows(46),
         "workers": {"auto": auto,
-                    "auto_effective": min(auto, -(-46 // block_rows(46)))},
+                    "auto_effective": min(auto, -(-46 // sweep._block_rows(46)))},
         "numpy": np.__version__,
         "blas": blas_info(),
     }
