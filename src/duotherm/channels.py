@@ -11,15 +11,17 @@ the n-level generalization exchanges population between every level pair
 (i, j) with strength gamma_ij.  Both admit a two-qubit purified-bath dilation
 built from ``dilation_unitary``.
 
-A spec's temperature may be an array of baths that share energies and
-coupling, whose populations gain the array's shape as leading axes; this is
-how a compiled setup reads its features.  Kraus sets and purified baths are
-built for one temperature.  The compilers use the temperature-free Kraus
-shapes and ``purification``, which takes a batch of amplitude pairs.
+A spec, its Kraus sets and its purified bath are built for one
+temperature.  ``gibbs_populations`` takes an array of temperatures and no
+spec; it is how a compiled setup reads its features.  The compilers use the
+temperature-free Kraus shapes, which are affine in the coupling amplitudes
+sqrt(1 - eta) and sqrt(eta), the parts of the dilation unitary, and
+``purification``, which takes a batch of amplitude pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,23 +42,18 @@ BETA_CONVENTIONS = ("natural", "log2")
 
 @dataclass(frozen=True)
 class ThermalBathSpec:
-    """Bath parameters; energies default to a unit-gap two-level ladder.
+    """Bath parameters; energies default to a unit-gap two-level ladder."""
 
-    ``temperature`` is one temperature or an array of them, all positive;
-    an array serves the populations only, and the channels take one.
-    """
-
-    temperature: float | np.ndarray
+    temperature: float
     energies: tuple[float, ...] = (0.0, 1.0)
     eta: float = 1.0
     beta_convention: str = "natural"
 
     def __post_init__(self):
         object.__setattr__(self, "energies", tuple(float(e) for e in self.energies))
-        temperatures = np.asarray(self.temperature, dtype=float)
-        if not (temperatures > 0).all():
-            bad = temperatures[~(temperatures > 0)][0]
-            raise ConfigurationError(f"temperature must be positive, got {float(bad)!r}")
+        if not self.temperature > 0:
+            raise ConfigurationError(
+                f"temperature must be positive, got {float(self.temperature)!r}")
         if len(self.energies) < 2:
             raise ConfigurationError("at least two energy levels are required")
         if not 0.0 <= self.eta <= 1.0:
@@ -108,14 +105,30 @@ class KrausChannel:
 
 
 def gibbs_probabilities(spec: ThermalBathSpec) -> np.ndarray:
-    """Normalized thermal populations over the bath's energy ladder, along
-    the last axis."""
-    energies = np.asarray(spec.energies, dtype=float)
-    ln_base = 1.0 if spec.beta_convention == "natural" else math.log(2.0)
-    temperatures = np.asarray(spec.temperature, dtype=float)[..., None]
-    exponent = -(energies - energies.min()) * ln_base / temperatures
+    """Normalized thermal populations over the bath's energy ladder."""
+    return gibbs_populations(spec.temperature, spec.energies, spec.beta_convention)
+
+
+def gibbs_populations(temperatures, energies: tuple[float, ...],
+                      beta_convention: str) -> np.ndarray:
+    """Normalized thermal populations of temperatures of any shape over the
+    energy ladder, along a new last axis.  The temperatures are not checked;
+    each must be positive."""
+    exponent = _scaled_gaps(tuple(energies), beta_convention) / np.asarray(
+        temperatures, dtype=float)[..., None]
     w = np.exp(exponent)
     return w / w.sum(axis=-1, keepdims=True)
+
+
+@functools.cache
+def _scaled_gaps(energies: tuple[float, ...], beta_convention: str) -> np.ndarray:
+    """-(E - min E) ln(base) of an energy ladder: the Gibbs exponent times T
+    (read-only)."""
+    energies = np.asarray(energies, dtype=float)
+    ln_base = 1.0 if beta_convention == "natural" else math.log(2.0)
+    gaps = -(energies - energies.min()) * ln_base
+    gaps.flags.writeable = False
+    return gaps
 
 
 def gadc_kraus(spec: ThermalBathSpec) -> KrausChannel:
@@ -124,19 +137,19 @@ def gadc_kraus(spec: ThermalBathSpec) -> KrausChannel:
         raise ConfigurationError(
             f"the two-level channel needs exactly 2 energies, got {spec.levels}"
         )
-    return KrausChannel(_kraus_operators(gibbs_probabilities(spec), *gadc_shapes(spec.eta)))
+    shapes = gadc_shapes(math.sqrt(1.0 - spec.eta), math.sqrt(spec.eta))
+    return KrausChannel(_kraus_operators(gibbs_probabilities(spec), *shapes))
 
 
-def gadc_shapes(eta: float) -> tuple[np.ndarray, np.ndarray]:
+def gadc_shapes(keep: float, swap: float) -> tuple[np.ndarray, np.ndarray]:
     """Temperature-free Kraus shapes of the two-level channel and the level
-    whose population scales each (see ``_kraus_operators``)."""
-    k = math.sqrt(1.0 - eta)
-    s = math.sqrt(eta)
+    whose population scales each (see ``_kraus_operators``), at the coupling
+    amplitudes keep = sqrt(1 - eta) and swap = sqrt(eta)."""
     shapes = np.array([
-        [[1.0, 0.0], [0.0, k]],
-        [[k, 0.0], [0.0, 1.0]],
-        [[0.0, s], [0.0, 0.0]],
-        [[0.0, 0.0], [s, 0.0]],
+        [[1.0, 0.0], [0.0, keep]],
+        [[keep, 0.0], [0.0, 1.0]],
+        [[0.0, swap], [0.0, 0.0]],
+        [[0.0, 0.0], [swap, 0.0]],
     ])
     return shapes, np.array([0, 1, 0, 1])
 
@@ -163,20 +176,22 @@ def qudit_thermal_kraus(spec: ThermalBathSpec, gamma: np.ndarray | None = None) 
         raise ValidationError(f"gamma must be symmetric; asymmetry {asym:.3e}")
     if gamma.min() < 0 or gamma.max() > 1:
         raise ValidationError("gamma entries must lie in [0, 1]")
-    return KrausChannel(_kraus_operators(gibbs_probabilities(spec), *exchange_shapes(gamma)))
+    shapes = exchange_shapes(np.sqrt(1.0 - gamma), np.sqrt(gamma))
+    return KrausChannel(_kraus_operators(gibbs_probabilities(spec), *shapes))
 
 
-def exchange_shapes(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Temperature-free Kraus shapes of the pairwise-exchange channel with
-    strengths ``gamma`` (checked by ``qudit_thermal_kraus``) and the level
-    whose population scales each, in that channel's operator order: the
-    diagonal K_i, with sqrt(1 - gamma_ji) at (j, j), then K_ij = sqrt(gamma_ij)
-    |i><j| for i != j in row-major order."""
-    n = gamma.shape[0]
-    diagonal = np.eye(n) * np.sqrt(1.0 - gamma.T)[:, None, :]
+def exchange_shapes(keep: np.ndarray, swap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Temperature-free Kraus shapes of the pairwise-exchange channel and the
+    level whose population scales each, in that channel's operator order:
+    the diagonal K_i, with keep_ji at (j, j), then K_ij = swap_ij |i><j| for
+    i != j in row-major order.  The coupling amplitudes of strengths gamma
+    (checked by ``qudit_thermal_kraus``) are keep = sqrt(1 - gamma), whose
+    diagonal is 1, and swap = sqrt(gamma)."""
+    n = keep.shape[0]
+    diagonal = np.eye(n) * keep.T[:, None, :]
     i, j = np.nonzero(~np.eye(n, dtype=bool))
     exchange = np.zeros((len(i), n, n))
-    exchange[np.arange(len(i)), i, j] = np.sqrt(gamma[i, j])
+    exchange[np.arange(len(i)), i, j] = swap[i, j]
     return np.concatenate([diagonal, exchange]), np.concatenate([np.arange(n), i])
 
 
@@ -206,21 +221,23 @@ def purification(amplitudes: np.ndarray) -> np.ndarray:
 
 def dilation_unitary(eta: float) -> np.ndarray:
     """Partial-swap style two-qubit unitary realizing the coupling of
-    strength ``eta`` between a probe qubit and the first bath qubit."""
+    strength ``eta`` between a probe qubit and the first bath qubit:
+    P + sqrt(1 - eta) A + sqrt(eta) B with (P, A, B) = ``dilation_parts()``."""
     if not 0.0 <= eta <= 1.0:
         raise ValidationError(f"eta must lie in [0, 1], got {eta!r}")
-    c = math.sqrt(1.0 - eta)
-    s = math.sqrt(eta)
-    u = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, c, s, 0.0],
-            [0.0, -s, c, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ],
-        dtype=complex,
-    )
-    return u
+    weights = (1.0, math.sqrt(1.0 - eta), math.sqrt(eta))
+    return np.tensordot(weights, dilation_parts(), 1).astype(complex)
+
+
+def dilation_parts() -> np.ndarray:
+    """The parts (P, A, B), shape (3, 4, 4), of ``dilation_unitary``: P keeps
+    |00> and |11>, A keeps |01> and |10>, and B swaps them with a sign."""
+    parts = np.zeros((3, 4, 4))
+    parts[0, 0, 0] = parts[0, 3, 3] = 1.0
+    parts[1, 1, 1] = parts[1, 2, 2] = 1.0
+    parts[2, 1, 2] = 1.0
+    parts[2, 2, 1] = -1.0
+    return parts
 
 
 def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:

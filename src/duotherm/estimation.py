@@ -9,8 +9,12 @@ pair is the N = 1 case.
 
 Derivatives are central finite differences with a temperature-scaled step
 h = step * max(1, T); the states at the N points and at their four stencil
-neighbours come from one build of 5N states, which for the registered setups
-is one feature contraction of their compiled coefficient tensor.
+neighbours come from one build of 5N states, point by point, which for the
+registered setups is one feature contraction of their compiled coefficient
+tensor.  Every temperature must be finite and lie more than one step from
+zero, t - h > 0; the check runs before the build and names the temperature
+as given.  The two derivatives of a state stay stacked, (..., 2, d, d),
+through the SLDs and the QFIM.
 
 Each state at a point is decomposed once, Rho = V diag(s) V^H, and that one
 Hermitian eigendecomposition also validates it (Hermiticity, unit trace,
@@ -53,11 +57,20 @@ class DerivativeConfig:
 
     def __post_init__(self):
         for name in ("step", "support_tol", "singular_tol"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
 
 
 DEFAULT_DERIVATIVES = DerivativeConfig()
+
+# Temperature offsets, in steps, of the five states per point: the point,
+# then t1 + h1, t2 + h2, t1 - h1 and t2 - h2.
+_STENCIL = np.array([[0.0, 1.0, 0.0, -1.0, 0.0], [0.0, 0.0, 1.0, 0.0, -1.0]])[:, None, :]
+
+# Flat QFIM entries of the bound numerators Q22, Q11 and -Q12, with their signs.
+_CRB_ENTRIES = np.array([3, 0, 1])
+_CRB_SIGNS = np.array([1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +103,36 @@ def _stacked_builder(setup) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
 def _scalars(*values):
     """Python scalars in place of 0-d arrays, so that the results of a single
     point print and serialize like plain numbers."""
-    return tuple(v.item() if np.ndim(v) == 0 else v for v in values)
+    return tuple(v.item() if v.ndim == 0 else v for v in values)
+
+
+def _stencil(setup: Setup, t1, t2, cfg: DerivativeConfig):
+    """The states and their two derivatives stacked, with the shape of the
+    temperature arrays followed by (d, d) and (2, d, d); see
+    ``state_and_derivatives``."""
+    t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
+    if t1.shape != t2.shape:
+        t1, t2 = np.broadcast_arrays(t1, t2)
+    shape = t1.shape
+    t = np.array([t1, t2]).reshape(2, -1)
+    if not np.isfinite(t).all():
+        raise ConfigurationError(
+            f"temperature must be finite, got {float(t[~np.isfinite(t)][0])!r}")
+    h = cfg.step * np.maximum(1.0, t)
+    if not (t - h > 0).all():
+        bad = float(t[~(t - h > 0)][0])
+        if not bad > 0:
+            raise ConfigurationError(f"temperature must be positive, got {bad!r}")
+        raise ConfigurationError(
+            f"temperature {bad!r} is within one derivative step of zero: the central "
+            f"difference with step {cfg.step!r} needs t - step * max(1, t) > 0")
+    grid = (t[:, :, None] + h[:, :, None] * _STENCIL).reshape(2, -1)
+    states = tensor.as_complex(_stacked_builder(setup)(grid[0], grid[1]))
+    states = states.reshape((-1, 5) + states.shape[-2:])
+    d_rho = states[:, 1:3] - states[:, 3:5]
+    d_rho /= (2.0 * h.T)[:, :, None, None]
+    rho = states[:, 0].reshape(shape + d_rho.shape[-2:])
+    return rho, d_rho.reshape(shape + d_rho.shape[1:])
 
 
 def state_and_derivatives(
@@ -103,43 +145,31 @@ def state_and_derivatives(
 
     ``t1`` and ``t2`` are temperatures or equal-shape arrays of N of them;
     each result has their shape followed by (d, d).  The N states and their
-    4N stencil neighbours come from one stacked build.
+    4N stencil neighbours come from one stacked build, point by point.
+
+    Every temperature must be finite and lie more than one step from zero:
+    t - h > 0 with h = step * max(1, t).  The checks run before the build and
+    name the temperature as given.
     """
-    t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
-    shape = t1.shape
-    t1, t2 = t1.reshape(-1), t2.reshape(-1)
-    h1 = cfg.step * np.maximum(1.0, np.abs(t1))
-    h2 = cfg.step * np.maximum(1.0, np.abs(t2))
-    states = tensor.as_complex(_stacked_builder(setup)(
-        np.concatenate([t1, t1 + h1, t1 - h1, t1, t1]),
-        np.concatenate([t2, t2, t2, t2 + h2, t2 - h2]),
-    ))
-    rho, up1, down1, up2, down2 = states.reshape((5, t1.size) + states.shape[-2:])
-    d1 = (up1 - down1) / (2.0 * h1)[:, None, None]
-    d2 = (up2 - down2) / (2.0 * h2)[:, None, None]
-    return tuple(x.reshape(shape + x.shape[-2:]) for x in (rho, d1, d2))
+    rho, d_rho = _stencil(setup, t1, t2, cfg)
+    return rho, d_rho[..., 0, :, :], d_rho[..., 1, :, :]
 
 
-def _eigenbasis_slds(
-    vals: np.ndarray,
-    vecs: np.ndarray,
-    d_rho_1: np.ndarray,
-    d_rho_2: np.ndarray,
-    cfg: DerivativeConfig,
-) -> np.ndarray:
+def _eigenbasis_slds(vals: np.ndarray, vecs: np.ndarray, d_rho: np.ndarray,
+                     cfg: DerivativeConfig) -> np.ndarray:
     """Both SLDs in the eigenbasis of Rho = V diag(s) V^H, stacked as
-    (..., 2, d, d): with g = V^H dRho V, L_ij = 2 g_ij / (s_i + s_j) where
-    s_i + s_j exceeds the support cutoff, zero elsewhere, and L is made
-    exactly Hermitian."""
+    (..., 2, d, d) like the derivatives ``d_rho``: with g = V^H dRho V,
+    L_ij = 2 g_ij / (s_i + s_j) where s_i + s_j exceeds the support cutoff,
+    zero elsewhere, and L is made exactly Hermitian."""
     lead, d = vals.shape[:-1], vals.shape[-1]
-    d_rho = np.stack([tensor.as_complex(d_rho_1), tensor.as_complex(d_rho_2)], axis=-3)
     # g = (dRho V)^H V for Hermitian dRho, with both parameters' blocks
     # stacked in the rows of one product per point.
-    w = tensor.dagger((d_rho.reshape(lead + (2 * d, d)) @ vecs).reshape(lead + (2, d, d)))
+    w = (d_rho.reshape(lead + (2 * d, d)) @ vecs).reshape(lead + (2, d, d))
+    w = w.conj().swapaxes(-1, -2)
     g = (w.reshape(lead + (2 * d, d)) @ vecs).reshape(lead + (2, d, d))
     denom = vals[..., :, None] + vals[..., None, :]
-    inverse = np.divide(1.0, denom, out=np.zeros_like(denom), where=denom > cfg.support_tol)
-    return (g + tensor.dagger(g)) * inverse[..., None, :, :]
+    inverse = np.divide(1.0, denom, out=np.zeros(denom.shape), where=denom > cfg.support_tol)
+    return (g + g.conj().swapaxes(-1, -2)) * inverse[..., None, :, :]
 
 
 def sld_operators(
@@ -152,10 +182,31 @@ def sld_operators(
     Rho, for one state or a stack of shape (..., d, d): the eigenbasis SLDs
     of the estimation pipeline, rotated back."""
     vals, vecs = tensor.herm_eig(rho)
-    slds = _eigenbasis_slds(vals, vecs, d_rho_1, d_rho_2, cfg)
+    d_rho = np.stack([tensor.as_complex(d_rho_1), tensor.as_complex(d_rho_2)], axis=-3)
+    slds = _eigenbasis_slds(vals, vecs, d_rho, cfg)
     vecs = vecs[..., None, :, :]
     slds = vecs @ slds @ tensor.dagger(vecs)
     return slds[..., 0, :, :], slds[..., 1, :, :]
+
+
+def _information(rho_slds: np.ndarray, slds: np.ndarray, cfg: DerivativeConfig) -> QfimResult:
+    """The QFIM of the SLD pairs ``slds`` (..., 2, d, d) and their products
+    ``rho_slds`` with Rho, both in a basis shared with Rho."""
+    # t[a, b] = Tr(rho L_a L_b): Q is the anticommutator form
+    # Re(t + t^T) / 2, and t[0, 1] - t[1, 0] = Tr(rho [L1, L2]).  Summing
+    # both orders keeps Q12 the same, bit for bit, when the roles of the two
+    # parameters are exchanged.
+    t = np.einsum("...aij,...bji->...ab", rho_slds, slds)
+    q = t.real
+    q = (q + q.swapaxes(-1, -2)) / 2.0
+    q12 = q[..., 0, 1]
+    det = q[..., 0, 0] * q[..., 1, 1] - q12 * q12
+    residual = np.abs(t[..., 0, 1] - t[..., 1, 0])
+    scale = np.maximum(1.0, np.abs(q.reshape(q.shape[:-2] + (4,))).max(axis=-1) ** 2)
+    singular = np.abs(det) < cfg.singular_tol * scale
+    det, residual, singular = _scalars(det, residual, singular)
+    return QfimResult(qfim=q, determinant=det, attainability_residual=residual,
+                      singular=singular)
 
 
 def qfim(
@@ -177,21 +228,7 @@ def qfim(
         rho_slds = np.asarray(rho)[..., None, :, None] * slds
     else:
         rho_slds = tensor.as_complex(rho)[..., None, :, :] @ slds
-    # t[a, b] = Tr(rho L_a L_b): Q12 is the anticommutator form
-    # Re(t[0, 1] + t[1, 0]) / 2, and t[0, 1] - t[1, 0] = Tr(rho [L1, L2]).
-    # Summing both orders keeps Q12 the same, bit for bit, when the roles of
-    # the two parameters are exchanged.
-    t = np.einsum("...aij,...bji->...ab", rho_slds, slds)
-    q11, q22 = t[..., 0, 0].real, t[..., 1, 1].real
-    q12 = (t[..., 0, 1].real + t[..., 1, 0].real) / 2.0
-    residual = np.abs(t[..., 0, 1] - t[..., 1, 0])
-    q = np.stack([np.stack([q11, q12], axis=-1), np.stack([q12, q22], axis=-1)], axis=-2)
-    det = q11 * q22 - q12 * q12
-    scale = np.maximum(1.0, np.abs(q).max(axis=(-2, -1)) ** 2)
-    singular = np.abs(det) < cfg.singular_tol * scale
-    det, residual, singular = _scalars(det, residual, singular)
-    return QfimResult(qfim=q, determinant=det, attainability_residual=residual,
-                      singular=singular)
+    return _information(rho_slds, slds, cfg)
 
 
 def qfim_eigensum(
@@ -249,12 +286,12 @@ def crb_bounds(result: QfimResult, repetitions: int = 1) -> BoundsResult:
     """
     if repetitions < 1:
         raise ConfigurationError(f"repetitions must be >= 1, got {repetitions}")
-    q = result.qfim
-    n_det = repetitions * np.asarray(result.determinant)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        var1 = np.where(result.singular, math.inf, q[..., 1, 1] / n_det)
-        var2 = np.where(result.singular, math.inf, q[..., 0, 0] / n_det)
-        cov = np.where(result.singular, math.inf, -q[..., 0, 1] / n_det)
+    q, singular = result.qfim, np.asarray(result.singular)
+    n_det = repetitions * np.where(singular, 1.0, result.determinant)
+    # (Q22, Q11, -Q12) / (N det Q), and +inf where Q is singular
+    out = q.reshape(q.shape[:-2] + (4,))[..., _CRB_ENTRIES] * _CRB_SIGNS / n_det[..., None]
+    out[singular] = math.inf
+    var1, var2, cov = out[..., 0], out[..., 1], out[..., 2]
     return BoundsResult(*_scalars(var1, var2, cov, var1 + var2), repetitions)
 
 
@@ -269,12 +306,14 @@ def evaluate_bounds(
     or at equal-shape arrays of N pairs with one stacked state build, one
     eigendecomposition and one QFIM evaluation for the whole stack.
 
-    The eigendecomposition of the states at the points themselves validates
-    them as density matrices; the setups do not validate, so the stencil
-    states are unchecked.  The SLDs and the QFIM stay in the eigenbasis.
+    Every temperature must be finite and lie more than one derivative step
+    from zero (see ``state_and_derivatives``).  The eigendecomposition of the
+    states at the points themselves validates them as density matrices; the
+    setups do not validate, so the stencil states are unchecked.  The SLDs
+    and the QFIM stay in the eigenbasis.
     """
-    rho, d1, d2 = state_and_derivatives(setup, t1, t2, cfg)
+    rho, d_rho = _stencil(setup, t1, t2, cfg)
     vals, vecs = tensor.density_eig(rho)
-    slds = _eigenbasis_slds(vals, vecs, d1, d2, cfg)
-    info = qfim(vals, slds[..., 0, :, :], slds[..., 1, :, :], cfg)
+    slds = _eigenbasis_slds(vals, vecs, d_rho, cfg)
+    info = _information(vals[..., None, :, None] * slds, slds, cfg)
     return info, crb_bounds(info, repetitions)

@@ -129,6 +129,10 @@ def _sweep_block(task: tuple[SweepSpec, SetupEvaluator, int, int]) -> list[Sweep
     t2s = np.tile(grid, stop - start)
     try:
         info, bounds = evaluate_bounds(setup, t1s, t2s, cfg)
+    except ConfigurationError:
+        # an input the spec let through, such as a grid temperature within
+        # one derivative step of zero: the error names it already
+        raise
     except Exception as block_exc:
         # The block failed as one stack; name its first failing point.
         for t1, t2 in zip(t1s.tolist(), t2s.tolist()):

@@ -20,12 +20,17 @@ M J1(x)J2 M^dag with M the |w> vector reshaped to (P F) x A, which is what
 
 Compiled route: every thermal Kraus operator is sqrt(p_i) times a fixed
 shape, so the thermal switch's output is bilinear in the populations
-p(t1) (x) p(t2).  ``switch_coefficients`` is the compiler: it builds the d
-unit-population channels once and combines their superoperators into the
+p(t1) (x) p(t2).  ``switch_coefficients`` builds the d unit-population
+channels at one coupling and combines their superoperators into the
 temperature-free coefficient tensor, from which a setup's states are one
-feature contraction.  ``switch_output_state`` builds the state at one
-temperature pair through the Kraus route; it is the oracle that the
-compiled states are checked against.
+feature contraction.  The shapes are affine in the coupling amplitudes
+sqrt(1 - eta) and sqrt(eta), and the output is linear in each of the four
+operator sets it multiplies, so ``switch_coefficient_table``, the compiler,
+runs the same map on the parts of the shapes and returns the tensor as a
+table of monomials in the two amplitudes, of degree at most 4; the direct
+``switch_coefficients`` is its oracle.  ``switch_output_state`` builds the
+state at one temperature pair through the Kraus route; it is the oracle that
+the compiled states are checked against.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import numpy as np
 from . import channels, tensor
 from .channels import KrausChannel, ThermalBathSpec
 from .errors import ConfigurationError, DimensionMismatchError
+from .tensor import sum_by
 
 PROCESS_LABELS = ("P1", "P2", "A1I", "A1O", "A2I", "A2O", "F1", "F2")
 
@@ -105,40 +111,44 @@ def switch_kraus_output(cfg: SwitchConfig, rho_in: np.ndarray) -> np.ndarray:
     rho_in = tensor.as_complex(rho_in)
     if rho_in.shape != (d, d):
         raise DimensionMismatchError(f"input shape {rho_in.shape} does not match dim {d}")
-    f = cfg.channel_a.ops
-    out = _controlled_order(f, _superoperator(f), _superoperator(cfg.channel_b.ops), rho_in,
+    f, f_b = cfg.channel_a.ops, cfg.channel_b.ops
+    out = _controlled_order(f, f, _superoperator(f, f), _superoperator(f_b, f_b), rho_in,
                             cfg.control_vector())
     return (out + tensor.dagger(out)) / 2.0
 
 
-def _superoperator(ops: np.ndarray) -> np.ndarray:
-    """S[(i, j), (k, l)] = sum_a K_a[i, k] conj(K_a[j, l]) of Kraus sets
-    (..., n, d, d), so that the map sends the row-major vec(X) to S vec(X)."""
+def _superoperator(ops: np.ndarray, conj_ops: np.ndarray) -> np.ndarray:
+    """S[(i, j), (k, l)] = sum_a K_a[i, k] conj(L_a[j, l]) of operator sets
+    K = ``ops`` and L = ``conj_ops``, shape (..., n, d, d); for a Kraus set
+    K = L the map sends the row-major vec(X) to S vec(X)."""
     d = ops.shape[-1]
-    s = (ops[..., :, :, None, :, None] * ops.conj()[..., :, None, :, None, :]).sum(axis=-5)
+    s = (ops[..., :, :, None, :, None] * conj_ops.conj()[..., :, None, :, None, :]).sum(axis=-5)
     return s.reshape(s.shape[:-4] + (d * d, d * d))
 
 
-def _controlled_order(f: np.ndarray, s_a: np.ndarray, s_b: np.ndarray, rho_in: np.ndarray,
-                      c: np.ndarray) -> np.ndarray:
+def _controlled_order(f: np.ndarray, g: np.ndarray, s_a: np.ndarray, s_b: np.ndarray,
+                      rho_in: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Output of the controlled-order map before Hermitization, with channel
     A given by its operator set f, shape (..., n, d, d), and superoperator
     s_a, and channel B by its superoperator s_b.
 
-    The output is linear in each channel's superoperator and in f's outer
-    products, so the sets need not be complete channels: on the unit
-    population channels it gives the switch's coefficient tensor.
+    The output is linear in each channel's superoperator and in the outer
+    products of f with g, which stands for f where it enters conjugated, so
+    the sets need not be complete channels: on the unit population channels
+    it gives the switch's coefficient tensor, and on the parts of their
+    shapes its table.
     """
     d = rho_in.shape[0]
     batch = np.broadcast_shapes(s_a.shape[:-2], s_b.shape[:-2])
     vec = rho_in.reshape(d * d, 1)
     # Summed over the aligned pairs H_ij, the diagonal blocks are the two
     # sequential compositions, s11 = A(B(rho_in)) and s22 = B(A(rho_in)),
-    # and the coherence block is s12 = sum_i F_i B(rho_in F_i^dag).
+    # and the coherence block is s12 = sum_i F_i B(rho_in G_i^dag).
     s11 = (s_a @ (s_b @ vec)).reshape(batch + (d, d))
     s22 = (s_b @ (s_a @ vec)).reshape(batch + (d, d))
-    x = (rho_in @ tensor.dagger(f)).reshape(f.shape[:-2] + (d * d,))
-    b_x = (x @ np.swapaxes(s_b, -1, -2)).reshape(batch + (-1, d))
+    x = (rho_in @ tensor.dagger(g)).reshape(g.shape[:-2] + (d * d,))
+    b_x = x @ np.swapaxes(s_b, -1, -2)
+    b_x = b_x.reshape(b_x.shape[:-2] + (-1, d))
     s12 = np.swapaxes(f, -3, -2).reshape(f.shape[:-3] + (d, -1)) @ b_x
     rho_c = np.outer(c, c.conj())
     blocks = np.empty(batch + (2, 2, d, d), dtype=complex)
@@ -237,26 +247,73 @@ def switch_output_state(target_dim: int, t1: float, t2: float, eta: float = 1.0,
                                rho_in)
 
 
+def _unit_shapes(target_dim: int, keep: float, swap: float) -> np.ndarray:
+    """Kraus shapes of the d unit-population channels of the thermal switch
+    at the coupling amplitudes keep = sqrt(1 - eta) and swap = sqrt(eta),
+    shape (d, n, d, d): channel i holds the n operators that level i
+    scales."""
+    if target_dim == 2:
+        shapes, level = channels.gadc_shapes(keep, swap)
+    else:
+        off = np.ones((target_dim, target_dim)) - np.eye(target_dim)
+        shapes, level = channels.exchange_shapes(np.eye(target_dim) + keep * off, swap * off)
+    # every level scales the same number of operators
+    return shapes[np.argsort(level, kind="stable")].reshape(target_dim, -1, target_dim,
+                                                            target_dim).astype(complex)
+
+
+def _switch_map(f: np.ndarray, g: np.ndarray, f_b: np.ndarray, g_b: np.ndarray) -> np.ndarray:
+    """The controlled-order map on the ground-state target with the control
+    in |+>, multilinear in the operator sets: f and g of slot A, f_b and g_b
+    of slot B, each g standing for its f where that enters conjugated."""
+    d = f.shape[-1]
+    ground = np.zeros((d, d), dtype=complex)
+    ground[0, 0] = 1.0
+    return _controlled_order(f, g, _superoperator(f, g), _superoperator(f_b, g_b), ground,
+                             np.asarray(_plus_state(), dtype=complex))
+
+
 def switch_coefficients(target_dim: int, eta: float = 1.0) -> np.ndarray:
     """Temperature-free coefficient tensor M, shape (d, d, 2d, 2d), of the
     thermal switch: ``switch_output_state`` at (t1, t2) is
-    sum_ij p_i(t1) p_j(t2) M[i, j], with p the Gibbs populations.
+    sum_ij p_i(t1) p_j(t2) M[i, j], with p the Gibbs populations.  This
+    direct compile is the oracle of ``switch_coefficient_table``.
 
     Every Kraus operator is sqrt(p_i) times a fixed shape, so each channel's
     superoperator is sum_i p_i S_i over the d unit-population channels (the
     operators of level i alone).  The unit channels are built once, and
     M[i, j] is the map with unit channel i in slot A and j in slot B.
     """
-    if target_dim == 2:
-        shapes, level = channels.gadc_shapes(eta)
-    else:
-        shapes, level = channels.exchange_shapes(
-            eta * (np.ones((target_dim, target_dim)) - np.eye(target_dim)))
-    # every level scales the same number of operators
-    unit = shapes[np.argsort(level, kind="stable")].reshape(target_dim, -1, target_dim,
-                                                            target_dim).astype(complex)
-    s = _superoperator(unit)
-    ground = np.zeros((target_dim, target_dim), dtype=complex)
-    ground[0, 0] = 1.0
-    return _controlled_order(unit[:, None], s[:, None], s[None, :], ground,
-                             np.asarray(_plus_state(), dtype=complex))
+    unit = _unit_shapes(target_dim, math.sqrt(1.0 - eta), math.sqrt(eta))
+    return _switch_map(unit[:, None], unit[:, None], unit[None, :], unit[None, :])
+
+
+def switch_coefficient_table(target_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tensor of ``switch_coefficients`` as a table of terms, whatever
+    the coupling: ``switch_coefficients`` at eta is sum_j w_j M_j with
+    w_j = sqrt(1 - eta)^a_j sqrt(eta)^b_j.
+
+    Returns the keys (a_j, b_j, 0), shape (J, 3), in the layout of
+    ``interferometer.mz_coefficient_table``, and the terms M_j, shape
+    (J, d, d, 2d, 2d).  The unit shapes are P + keep A + swap B; each of the
+    four operator sets of the map takes one of the parts, and a choice with
+    part counts (nP, nA, nB) contributes to a = nA, b = nB.
+    """
+    base = _unit_shapes(target_dim, 0.0, 0.0)
+    parts = np.array([base, _unit_shapes(target_dim, 1.0, 0.0) - base,
+                      _unit_shapes(target_dim, 0.0, 1.0) - base])
+    # The map multiplies f_i with g_i and f_b,i with g_b,i, so only pairs
+    # of parts with a common nonzero operator i contribute.
+    present = (parts != 0).any(axis=(-2, -1))
+    pairs = np.array([(x, y) for x in range(3) for y in range(3)
+                      if (present[x] & present[y]).any()])
+    f, g = parts[pairs[:, 0]], parts[pairs[:, 1]]
+    # axes: the pair of slot A, the pair of slot B, the levels of A and of B
+    terms = _switch_map(f[:, None, :, None], g[:, None, :, None],
+                        f[None, :, None, :], g[None, :, None, :])
+    degrees = (pairs[:, :, None] == (1, 2)).sum(axis=1)
+    degrees = degrees[:, None] + degrees[None, :]
+    monomials, index = np.unique(degrees.reshape(-1, 2), axis=0, return_inverse=True)
+    table = sum_by(index.reshape(-1), terms.reshape((-1,) + terms.shape[2:]), len(monomials))
+    keys = np.concatenate([monomials, np.zeros((len(monomials), 1), dtype=int)], axis=1)
+    return keys, table

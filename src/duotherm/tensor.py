@@ -9,7 +9,8 @@ Eigendecomposition is delegated to ``numpy.linalg.eigh`` behind the
 decomposition both checks a density matrix and serves the estimation;
 everything else is reshape/einsum bookkeeping.  ``dagger``, ``herm_eig``,
 ``density_eig`` and ``validate_density_matrix`` also take stacks of shape
-``(..., d, d)`` and act on every matrix of the stack.
+``(..., d, d)`` and act on every matrix of the stack.  ``sum_by`` adds
+arrays by an integer key, which the compilers use to collect terms.
 ``embed_operator``, ``partial_trace`` and ``partial_transpose`` work on dense
 full-space operators; no state builder uses them, they are the references
 that the dilation check and the tests compare against.
@@ -99,7 +100,7 @@ def partial_transpose(m, dims: Sequence[int], flip: Iterable[int]) -> np.ndarray
 
 def hermiticity_defect(m) -> float:
     m = as_complex(m)
-    return float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
+    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max()) if m.size else 0.0
 
 
 def herm_eig(m, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -165,12 +166,13 @@ def density_eig(
     defect = hermiticity_defect(rho)
     if defect > herm_tol:
         raise ValidationError(f"density matrix not Hermitian: defect {defect:.3e}")
-    traces = np.trace(rho, axis1=-2, axis2=-1).reshape(-1)
-    off = np.abs(traces - 1.0) > trace_tol
-    if off.any():
-        raise ValidationError(f"density matrix trace {complex(traces[off][0])!r} is not 1")
+    traces = rho.trace(axis1=-2, axis2=-1)
+    if np.abs(traces - 1.0).max() > trace_tol:
+        traces = traces.reshape(-1)
+        first = traces[np.abs(traces - 1.0) > trace_tol][0]
+        raise ValidationError(f"density matrix trace {complex(first)!r} is not 1")
     vals, vecs = np.linalg.eigh(rho)
-    smallest = float(np.min(vals[..., 0]))
+    smallest = float(vals[..., 0].min())
     if smallest < eig_floor:
         raise ValidationError(f"density matrix has negative eigenvalue {smallest:.3e}")
     return vals, vecs
@@ -187,6 +189,16 @@ def validate_density_matrix(
     rho = as_complex(rho)
     density_eig(rho, herm_tol, trace_tol, eig_floor)
     return rho
+
+
+def sum_by(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """out[k] = the sum of the ``values[i]`` with ``index[i] == k``, in the
+    order of i, for k < ``size``; shape (size,) + values.shape[1:]."""
+    order = np.argsort(index, kind="stable")
+    keys, starts = np.unique(index[order], return_index=True)
+    out = np.zeros((size,) + values.shape[1:], dtype=values.dtype)
+    out[keys] = np.add.reduceat(values[order], starts, axis=0)
+    return out
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:

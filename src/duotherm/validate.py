@@ -20,7 +20,7 @@ from .errors import ChannelConstructionError, ConfigurationError
 from .estimation import (DerivativeConfig, evaluate_bounds, qfim, qfim_eigensum,
                          sld_operators, state_and_derivatives)
 from .interferometer import MzConfig, mz_output_state
-from .setups import SETUP_IDS, make_setup
+from .setups import SETUP_IDS, direct_compile, make_setup
 from .sweep import SweepSpec, emit_csv, emit_pgm_heatmap, read_csv, run_sweep
 from .switch import (switch_channel_choi, switch_kraus_output, switch_output_state,
                      switch_process_output, thermal_switch_config)
@@ -154,14 +154,15 @@ def check_mz_phase_independence(rng: np.random.Generator, defective: bool = Fals
 
 def check_compiled_state_agreement(rng: np.random.Generator, defective: bool = False) -> str:
     """Compiled states of all nine setups against the temperature-taking
-    builders, at random (t1, t2, phi, eta) under both beta conventions,
+    builders, and against the states of the direct compile at the same
+    (phi, eta), at random (t1, t2, phi, eta) under both beta conventions,
     within 1e-13 (max abs).  The negative control scales the largest
     coefficient of every compiled tensor by 1 + 1e-9."""
-    worst = 0.0
+    worst = worst_direct = 0.0
     for setup_id in SETUP_IDS:
         for beta in channels.BETA_CONVENTIONS:
-            setup = make_setup(setup_id, phi=float(rng.uniform(0.0, 2.0 * math.pi)),
-                               eta=float(rng.uniform(0.05, 1.0)), beta_convention=beta)
+            phi, eta = float(rng.uniform(0.0, 2.0 * math.pi)), float(rng.uniform(0.05, 1.0))
+            setup = make_setup(setup_id, phi=phi, eta=eta, beta_convention=beta)
             t1s, t2s = np.array(_random_temps(rng, 4)), np.array(_random_temps(rng, 4))
             compiled = setup.compiled
             if defective:
@@ -170,8 +171,13 @@ def check_compiled_state_agreement(rng: np.random.Generator, defective: bool = F
                 compiled = replace(compiled, coefficients=c)
             states = compiled.states(t1s, t2s, beta)
             worst = max(worst, float(np.max(np.abs(states - setup.builder_states(t1s, t2s)))))
+            direct = direct_compile(setup_id, phi, eta).states(t1s, t2s, beta)
+            worst_direct = max(worst_direct, float(np.max(np.abs(states - direct))))
     assert worst < 1e-13, f"compiled states differ from the builders by {worst:.2e}"
-    return f"9 setups x 2 beta conventions, 4 pairs each, worst difference {worst:.2e}"
+    assert worst_direct < 1e-13, \
+        f"compiled states differ from the direct compile by {worst_direct:.2e}"
+    return (f"9 setups x 2 beta conventions, 4 pairs each, worst difference {worst:.2e}, "
+            f"from the direct compile {worst_direct:.2e}")
 
 
 def check_switch_route_equivalence(rng: np.random.Generator, defective: bool = False) -> str:

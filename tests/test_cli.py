@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -158,6 +159,30 @@ def test_nonpositive_temperature_is_a_configuration_error(capsys):
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
     assert main(["bounds", "--setup", "swi2", "--t1", "0.5", "--t2", "0.0"]) == 2
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--t1", "inf", "--t2", "0.5"], "temperature must be finite, got inf"),
+    (["--t1", "0.5", "--t2", "nan"], "temperature must be finite, got nan"),
+    (["--t1", "0.5", "--t2", "0.3", "--step", "inf"], "step must be positive and finite, got inf"),
+])
+def test_non_finite_temperature_or_step_is_named_as_given(flags, named, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["bounds", "--setup", "swi2"] + flags)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"configuration error: {named}"]
+
+
+def test_temperature_within_one_step_of_zero_names_it_and_the_step(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["bounds", "--setup", "swi2", "--t1", "5e-6", "--t2", "0.5"])
+    assert code == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("configuration error: temperature 5e-06 is within one derivative "
+                           "step of zero")
+    assert "step 1e-05" in line and "-5e-06" not in line
 
 
 def test_failing_grid_point_is_an_error_line_not_a_traceback(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Estimation layer: derivatives, SLDs, the information matrix, and bounds."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,42 @@ def test_derivative_config_validation():
         DerivativeConfig(support_tol=-1e-3)
     with pytest.raises(ConfigurationError):
         DerivativeConfig(singular_tol=0.0)
+
+
+@pytest.mark.parametrize("name", ["step", "support_tol", "singular_tol"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_derivative_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ConfigurationError, match=f"{name} must be positive and finite"):
+        DerivativeConfig(**{name: value})
+
+
+@pytest.mark.parametrize("t1, t2, message", [
+    (math.inf, 0.5, "temperature must be finite, got inf"),
+    (np.array([0.3, -math.inf]), np.array([0.5, 0.6]), "temperature must be finite, got -inf"),
+    (0.3, -0.2, "temperature must be positive, got -0.2"),
+    (4e-6, 0.5, "temperature 4e-06 is within one derivative step of zero"),
+])
+def test_evaluate_bounds_names_a_bad_temperature_before_the_build(t1, t2, message):
+    built = []
+
+    def setup(a, b):
+        built.append((a, b))
+        return np.eye(2) / 2
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=message):
+            evaluate_bounds(setup, t1, t2)
+    assert built == []
+
+
+def test_the_stencil_limit_is_one_step_from_zero():
+    # t - step * max(1, t) > 0 holds just above the step and fails at it
+    cfg = DerivativeConfig(step=1e-3)
+    setup = make_setup("swi2")
+    evaluate_bounds(setup, 1.001e-3, 0.5, cfg)
+    with pytest.raises(ConfigurationError, match=r"temperature 0.001 .* step 0.001"):
+        evaluate_bounds(setup, 1e-3, 0.5, cfg)
 
 
 def test_constant_family_has_zero_derivatives():

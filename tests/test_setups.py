@@ -2,17 +2,20 @@
 the single-pair case."""
 import math
 import pickle
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duotherm import interferometer, setups, switch
 from duotherm.channels import BETA_CONVENTIONS
 from duotherm.errors import ConfigurationError, DarkPortError
-from duotherm.setups import SETUP_IDS, effective_dimension, make_setup
+from duotherm.setups import (SETUP_IDS, compile_setup, direct_compile, effective_dimension,
+                             make_setup)
 from duotherm.sweep import SweepSpec, records_to_grid, run_sweep
+from duotherm.validate import run_checks
 
 
 @pytest.mark.parametrize("setup_id", SETUP_IDS)
@@ -93,3 +96,69 @@ def test_evaluators_compare_hash_and_pickle_by_their_four_parameters():
     assert shipped == setup and hash(shipped) == hash(setup)
     t1s, t2s = np.array([0.2, 0.6]), np.array([0.9, 0.3])
     assert shipped.states(t1s, t2s).tobytes() == setup.states(t1s, t2s).tobytes()
+
+
+def _by_pair(compiled):
+    """Coefficient of each kept pair (a, b, sign)."""
+    return dict(zip(map(tuple, compiled.pairs.tolist()), compiled.coefficients))
+
+
+def _planes(coefficient):
+    """Whether the real and the imaginary plane of a coefficient are kept."""
+    return bool(coefficient.real.any()), bool(coefficient.imag.any())
+
+
+@pytest.mark.parametrize("setup_id", SETUP_IDS)
+def test_tabulated_compile_matches_the_direct_compile(setup_id):
+    rng = np.random.default_rng([20261018, SETUP_IDS.index(setup_id)])
+    points = [(float(phi), float(eta)) for phi, eta in
+              zip(rng.uniform(0.0, 2.0 * math.pi, 200), rng.uniform(0.0, 1.0, 200))]
+    points += [(phi, eta) for phi in (0.0, math.pi / 2, math.pi)
+               for eta in (0.0, 1e-6, 1.0 - 1e-9, 1.0)]
+    zero = np.zeros((effective_dimension(setup_id),) * 2, dtype=complex)
+    for phi, eta in points:
+        table, direct = _by_pair(compile_setup(setup_id, phi, eta)), _by_pair(
+            direct_compile(setup_id, phi, eta))
+        # The direct compile may keep a pair or plane of pure rounding noise
+        # that the table gives as an exact zero (mz2b's (3, 5, -1), about
+        # 6e-17); every other pair and plane is the same.
+        for pair in table.keys() | direct.keys():
+            ours, theirs = table.get(pair, zero), direct.get(pair, zero)
+            assert np.max(np.abs(ours - theirs)) <= 1e-14, (phi, eta, pair)
+            for kept, noise in zip(_planes(ours), _planes(theirs)):
+                assert kept == noise or (noise and np.max(np.abs(theirs)) < 1e-15), \
+                    (phi, eta, pair)
+
+
+def test_after_the_first_compile_no_builder_runs(monkeypatch):
+    for setup_id in SETUP_IDS:
+        make_setup(setup_id)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a builder ran after the first compile")
+
+    monkeypatch.setattr(interferometer, "_arm_matrices", forbidden)
+    monkeypatch.setattr(switch, "_superoperator", forbidden)
+    t1s, t2s = np.array([0.2, 0.6]), np.array([0.9, 0.3])
+    for setup_id in SETUP_IDS:
+        assert np.isfinite(make_setup(setup_id, phi=0.9, eta=0.4).states(t1s, t2s)).all()
+
+
+def test_a_mutated_table_term_fails_the_compiled_state_check(monkeypatch):
+    assert run_checks(["compiled_state_agreement"])[0].passed
+    table_of = setups._coefficient_table
+
+    def mutated(setup_id):
+        table = table_of(setup_id)
+        if setup_id != "swi3":
+            return table
+        # the constant term, whose weight is 1 at every (phi, eta)
+        terms = table.terms.copy()
+        row = terms[table.keys.index((0, 0, 0))]
+        row[np.argmax(np.abs(row))] *= 1.0 + 1e-9
+        return replace(table, terms=terms)
+
+    monkeypatch.setattr(setups, "_coefficient_table", mutated)
+    (result,) = run_checks(["compiled_state_agreement"])
+    assert not result.passed
+    assert "differ from the builders" in result.detail

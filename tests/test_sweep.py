@@ -313,3 +313,11 @@ def test_a_sweep_compiles_its_setup_once(monkeypatch):
     records = run_sweep(SweepSpec(setup_id="mz2b_wc", grid_n=6), workers=1)
     assert len(records) == 36
     assert calls == [("mz2b_wc", math.pi / 2, 1.0)]
+
+
+def test_grid_temperature_within_one_step_of_zero_is_a_configuration_error():
+    # the first grid point, t1 = t2 = 1e-6, lies within the default step of
+    # zero; the error names it and the step rather than a stencil point
+    spec = SweepSpec(setup_id="swi2", t_min=1e-6, grid_n=3)
+    with pytest.raises(ConfigurationError, match=r"temperature 1e-06 .* step 1e-05"):
+        run_sweep(spec, workers=1)

@@ -12,7 +12,15 @@ measures every source once, in turn and each in a fresh interpreter:
   with its derivative stencil, the validating eigendecomposition
   (``tensor.density_eig``), and the SLDs with the QFIM and the bounds, then
   the whole sweep, and writing its CSV and PGM files.  Each layer is given
-  in microseconds per grid point.
+  in microseconds per grid point;
+* cold queries, the unit of work of a point query: first, before anything
+  else in the interpreter, the first ``make_setup`` of each setup (it
+  builds whatever the setup builds once); then, after one warm-up point per
+  setup, ``COLD_ROUNDS`` rounds of one query per setup, setups in turn, each
+  a ``make_setup`` at a fresh seeded (phi, eta) and a one-point
+  ``evaluate_bounds`` at a seeded (t1, t2), drawn as the regular queries of
+  the benchmark's ``point_queries`` are.  It records, per setup, the median
+  microseconds of each call.  Every checkout gets the same queries.
 
 Every checkout must provide ``tensor.density_eig`` and
 ``sweep._block_rows``.  The JSON file holds, per label, the median over the
@@ -24,6 +32,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import math
 import os
 import platform
 import statistics
@@ -34,6 +43,8 @@ import time
 
 GRID_POINTS = 46 * 46
 REPEATS = 5
+COLD_ROUNDS = 200
+COLD_SEED = 20261018
 
 
 def blas_info() -> dict:
@@ -66,6 +77,14 @@ def measure(src: str) -> dict:
     from duotherm import estimation, sweep, tensor
     from duotherm.sweep import resolve_workers
 
+    first_compile = {}
+    for setup_id in dt.SETUP_IDS:
+        start = time.perf_counter()
+        dt.make_setup(setup_id)
+        first_compile[setup_id] = 1e6 * (time.perf_counter() - start)
+    cold = cold_queries(dt, np)
+    stencil, slds_of = pipeline(estimation)
+
     end_to_end = {}
     for name, workers in (("workers_1", 1), ("workers_auto", 0)):
         start = time.perf_counter()
@@ -89,11 +108,11 @@ def measure(src: str) -> dict:
                 t1s = np.repeat(grid[first:first + rows], grid.size)
                 t2s = np.tile(grid, t1s.size // grid.size)
                 t0 = time.perf_counter()
-                rho, d1, d2 = estimation.state_and_derivatives(setup, t1s, t2s, cfg)
+                rho, d_rho = stencil(setup, t1s, t2s, cfg)
                 t1_ = time.perf_counter()
                 vals, vecs = tensor.density_eig(rho)
                 t2_ = time.perf_counter()
-                slds = estimation._eigenbasis_slds(vals, vecs, d1, d2, cfg)
+                slds = slds_of(vals, vecs, d_rho, cfg)
                 estimation.crb_bounds(estimation.qfim(vals, slds[..., 0, :, :],
                                                       slds[..., 1, :, :], cfg))
                 t3_ = time.perf_counter()
@@ -114,12 +133,57 @@ def measure(src: str) -> dict:
     return {
         "end_to_end_s": end_to_end,
         "per_setup_us_per_point": layers,
+        "cold_query_us": {"first_make_setup": first_compile,
+                          "first_make_setup_total": sum(first_compile.values()),
+                          **cold},
         "rows_per_task": sweep._block_rows(46),
         "workers": {"auto": auto,
                     "auto_effective": min(auto, -(-46 // sweep._block_rows(46)))},
         "numpy": np.__version__,
         "blas": blas_info(),
     }
+
+
+def pipeline(estimation):
+    """The state build with its stencil, returning the states and their
+    derivatives, and the eigenbasis SLDs from those derivatives, of a
+    checkout's ``evaluate_bounds``: the derivatives are a stack (..., 2, d,
+    d) where the checkout has ``estimation._stencil``, a pair before."""
+    if hasattr(estimation, "_stencil"):
+        return estimation._stencil, estimation._eigenbasis_slds
+
+    def stencil(setup, t1s, t2s, cfg):
+        rho, d1, d2 = estimation.state_and_derivatives(setup, t1s, t2s, cfg)
+        return rho, (d1, d2)
+
+    return stencil, lambda vals, vecs, d_rho, cfg: estimation._eigenbasis_slds(
+        vals, vecs, *d_rho, cfg)
+
+
+def cold_queries(dt, np) -> dict:
+    """Median microseconds, per setup, of ``make_setup`` at a fresh (phi, eta)
+    and of a one-point ``evaluate_bounds`` (see the module docstring)."""
+    for setup_id in dt.SETUP_IDS:
+        dt.evaluate_bounds(dt.make_setup(setup_id), 0.3, 0.7)
+    rng = np.random.default_rng(COLD_SEED)
+    spent = {setup_id: ([], []) for setup_id in dt.SETUP_IDS}
+    for _ in range(COLD_ROUNDS):
+        for setup_id in dt.SETUP_IDS:
+            phi = float(rng.uniform(0.1, math.pi - 0.1) + math.pi * rng.integers(2))
+            eta = float(rng.uniform(0.2, 1.0))
+            t1, t2 = rng.uniform(0.15, 1.0, size=2)
+            while abs(t1 - t2) < 0.02:
+                t1, t2 = rng.uniform(0.15, 1.0, size=2)
+            start = time.perf_counter()
+            setup = dt.make_setup(setup_id, phi=phi, eta=eta)
+            built = time.perf_counter()
+            dt.evaluate_bounds(setup, float(t1), float(t2))
+            done = time.perf_counter()
+            spent[setup_id][0].append(built - start)
+            spent[setup_id][1].append(done - built)
+    return {name: {setup_id: 1e6 * statistics.median(times[i])
+                   for setup_id, times in spent.items()}
+            for i, name in enumerate(("make_setup", "evaluate_bounds"))}
 
 
 def median_of(runs: list) -> object:
